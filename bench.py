@@ -4,7 +4,7 @@ Runs the headline pipelines over ``$GRAFT_SF_DIR`` (default
 /root/testdata/sf0.1) under ``ray.init(address="local",
 num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and prints ONE JSON line::
 
-    {"metric": "linkage_files_per_sec", "value": <headline seconds>,
+    {"metric": "linkage_wall_sec", "value": <headline seconds>,
      "unit": "sec", "queries": {...per-pipeline seconds...},
      "rows_per_sec": ..., "sf": ..., "num_cpus": N}
 
@@ -239,9 +239,11 @@ def wait_quiet() -> None:
 def main() -> None:
     import ray
 
+    from localhost_address_matching_ray.config import object_store_args
+
     ray.init(
         address="local", num_cpus=NUM_CPUS, include_dashboard=False,
-        ignore_reinit_error=True, logging_level="ERROR",
+        ignore_reinit_error=True, logging_level="ERROR", **object_store_args(),
     )
     from ray.data import DataContext
 
@@ -261,7 +263,7 @@ def main() -> None:
             queries[q] = round(run_query(q), 3)
 
     out = {
-        "metric": "linkage_files_per_sec",
+        "metric": "linkage_wall_sec",
         "value": round(link["sec"], 3),
         "unit": "sec",
         "queries": queries,

@@ -163,13 +163,6 @@ class PipelineConfig:
                                                   # bundle; above this token
                                                   # volume the fetch goes via
                                                   # partitioned hash joins
-    pairs_collect_max: int = 80_000_000  # LEGACY (round 2): candidate pairs
-                                         # are no longer collected to the
-                                         # driver at all — duplicates are
-                                         # scored redundantly (dup factor
-                                         # ~1.35) and dedup happens on the
-                                         # verified edge stream; kept for
-                                         # config-file compatibility
 
     # --- execution ---
     batch_size: int = 4096
@@ -253,11 +246,55 @@ def default_pool_size(requested: int | None = None) -> int:
     pool that reserves every CPU starves the rest of the pipeline and can
     deadlock a small session (ray_guide: size concurrency x num_cpus so the
     pool fits beside the other stages)."""
+    cap = max(1, _session_cpus() - 2)
+    return min(requested, cap) if requested else cap
+
+
+def actor_pool_args(requested: int | None = None) -> dict:
+    """``concurrency`` and ``num_cpus`` for a ``map_batches`` actor pool:
+    :func:`default_pool_size` actors of one CPU each. On a session of 2 CPUs
+    or fewer the pool's actors share what one read or shuffle task leaves,
+    ``(CPUs − 1) / pool size`` each: on 1 CPU the one actor reserves none,
+    else it would hold the only CPU and the read that feeds it could never
+    be scheduled."""
+    size = default_pool_size(requested)
+    cpus = _session_cpus()
+    num_cpus = 1 if cpus > 2 else max(0, cpus - 1) / size
+    return {"concurrency": size, "num_cpus": num_cpus}
+
+
+def _session_cpus() -> int:
+    """The Ray session's CPU count; 4 when no session is up."""
     import ray
 
     try:
-        cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+        return int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
     except Exception:
-        cpus = 4
-    cap = max(1, cpus - 2)
-    return min(requested, cap) if requested else cap
+        return 4
+
+
+def object_store_args() -> dict:
+    """Extra ``ray.init`` arguments for a LOCAL session under this process's
+    file-size limit (``ulimit -f``). The object store is one file in
+    /dev/shm that the raylet sizes when it starts; past the limit SIGXFSZ
+    kills the raylet, and ``ray.init`` then fails after a silent 30 s. With
+    a finite limit the store is capped at 80% of it (or Ray's own default
+    size, 30% of available memory, when that is smaller); with no limit
+    this returns no arguments and Ray's default stands."""
+    import resource
+
+    limit = resource.getrlimit(resource.RLIMIT_FSIZE)[0]
+    if limit == resource.RLIM_INFINITY:
+        return {}
+    store = int(0.8 * limit)
+    try:
+        from ray._private import ray_constants
+        from ray._private.utils import estimate_available_memory
+
+        store = min(store, int(
+            estimate_available_memory()
+            * ray_constants.DEFAULT_OBJECT_STORE_MEMORY_PROPORTION
+        ))
+    except Exception:  # private Ray API moved: the cap alone still holds
+        pass
+    return {"object_store_memory": store}

@@ -22,11 +22,19 @@ import pyarrow as pa
 _INT32_MAX = 2**31 - 1
 
 
+def one_array(col: pa.ChunkedArray | pa.Array) -> pa.Array:
+    """The column as one Array: its only chunk as is (``combine_chunks``
+    copies even then), else the chunks concatenated."""
+    if not isinstance(col, pa.ChunkedArray):
+        return col
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
 def _flat_u8(col: pa.ChunkedArray | pa.Array, width: int) -> "np.ndarray | None":
     """Value buffer of a string/binary column whose values are ALL exactly
     ``width`` bytes, as a flat uint8 view. None when any value differs
     (per-value check via offsets) or nulls are present."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    arr = one_array(col)
     n = len(arr)
     if n == 0:
         return np.empty(0, dtype=np.uint8)

@@ -48,16 +48,23 @@ def sha256_hex_arrow(arr) -> list[str]:
     import numpy as np
     import pyarrow as pa
 
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+    from localhost_address_matching_ray.functions.arrowbuf import one_array
+
+    arr = one_array(arr)
     n = len(arr)
     if n == 0:
         return []
-    # int32-offset utf8 only: large_string (int64 offsets) or nulls fall
-    # back to the (correct, slower) list path
-    if arr.null_count or not pa.types.is_string(arr.type):
+    # string or large_string (int32 / int64 offsets); nulls or any other
+    # layout fall back to the (correct, slower) list path
+    if pa.types.is_string(arr.type):
+        off_t = np.int32
+    elif pa.types.is_large_string(arr.type):
+        off_t = np.int64
+    else:
+        off_t = None
+    if arr.null_count or off_t is None:
         return sha256_hex_array(arr.to_pylist())
-    offs = np.frombuffer(arr.buffers()[1], dtype=np.int32)
+    offs = np.frombuffer(arr.buffers()[1], dtype=off_t)
     mv = memoryview(arr.buffers()[2])
     o = offs[arr.offset : arr.offset + n + 1]
     h = hashlib.sha256

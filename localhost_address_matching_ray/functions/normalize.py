@@ -50,13 +50,9 @@ def normalize_content_array(texts) -> list[str]:
 #: ASCII members of Python-re ``\s`` — the only ones an ASCII row can contain
 _ASCII_WS_PAT = "[\\t\\n\\x0b\\x0c\\r\\x1c-\\x1f ]+"
 
-def _has_c_controls(arr) -> bool:
-    """Does ANY value carry a byte in \\x1c-\\x1f? One numpy range-compare
-    over the raw value buffer (~25× cheaper than substring scans). These
-    four separators are in Python-``\\s`` (the scalar spec) but NOT in
-    Arrow's ``ascii_split_whitespace`` class, so an array carrying them
-    must take the RE2 path. Returns True (= be conservative) for
-    non-string layouts."""
+def _value_bytes(arr) -> "np.ndarray | None":
+    """The value bytes of a string / large_string array's rows, as a uint8
+    view of its data buffer (no copy); None for any other layout."""
     import pyarrow as pa
 
     if pa.types.is_string(arr.type):
@@ -64,39 +60,89 @@ def _has_c_controls(arr) -> bool:
     elif pa.types.is_large_string(arr.type):
         off_t = np.int64
     else:
-        return True
+        return None
     bufs = arr.buffers()
     if bufs[2] is None:
-        return False
+        return np.empty(0, np.uint8)
     offs = np.frombuffer(bufs[1], off_t)
     lo = int(offs[arr.offset])
     hi = int(offs[arr.offset + len(arr)])
-    nb = np.frombuffer(bufs[2], np.uint8)[lo:hi]
-    return bool(((nb >= 28) & (nb <= 31)).any())
+    return np.frombuffer(bufs[2], np.uint8)[lo:hi]
 
 
-def _split_join_collapse(arr):
-    """Whitespace collapse + trim via Arrow's NON-regex kernels:
-    ``ascii_split_whitespace`` emits one part per token (empty parts only
-    at the row edges), ``binary_join(…, ' ')`` + ``utf8_trim`` rebuild the
-    collapsed string — measured ~2.8× faster than the RE2 global
-    substitution on code text. Exact for rows without \\x1c-\\x1f (the
-    caller routes those rows elsewhere)."""
+def content_scans(arr) -> tuple[bool, bool]:
+    """The two batch-wide scans every Arrow fast path keys on, as
+    ``(every value is ASCII, any value carries \\x1c-\\x1f)``, read
+    straight off the value buffer: the ASCII test is one ``max`` (~20× less
+    than ``string_is_ascii``), the separator test one range-compare (~25×
+    less than substring scans). The four separators \\x1c-\\x1f are in
+    Python-``\\s`` (the scalar spec) but NOT in Arrow's
+    ``ascii_split_whitespace`` class, so an array carrying them must take
+    the RE2 path. Compute the scans once per batch and hand them to
+    :func:`normalize_content_tokens_arrow` and :func:`batch_is_clean`.
+    Non-string layouts report (False, True), which sends them to the
+    per-row paths."""
+    from localhost_address_matching_ray.functions.arrowbuf import one_array
+
+    nb = _value_bytes(one_array(arr))
+    if nb is None:
+        return False, True
+    all_ascii = not len(nb) or int(nb.max()) < 128
+    # one wrapping subtract + compare: 28..31 map to 0..3, all else above
+    return all_ascii, bool(((nb - np.uint8(28)) < 4).any())
+
+
+def batch_is_clean(arr, scans) -> bool:
+    """True when no value is null, every value is ASCII and none carries
+    \\x1c-\\x1f: Arrow's ``ascii_split_whitespace`` then splits every row
+    exactly as the scalar normalize + split does. Comment stripping only
+    replaces characters with spaces, so every slice of a clean array stays
+    clean after it."""
+    all_ascii, c_controls = scans
+    return arr.null_count == 0 and all_ascii and not c_controls
+
+
+def _nonempty_parts(parts) -> np.ndarray:
+    """Per-row count of non-empty parts of an ``ascii_split_whitespace``
+    result without nulls. Runs are one separator there, so an empty part can
+    sit only at a row's first or last place: the count is the part count
+    minus an empty first and an empty last part (``[""]``, the empty row,
+    counts 0). Reads the two offset buffers only; no pass over the tokens."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
-    parts = pc.ascii_split_whitespace(arr)
-    sep = pa.scalar(" ", pa.large_string()) if pa.types.is_large_string(arr.type) else " "
-    return pc.utf8_trim(pc.binary_join(parts, sep), characters=" ")
+    lo = parts.offsets.to_numpy()
+    vals = parts.values
+    off_t = np.int64 if pa.types.is_large_string(vals.type) else np.int32
+    vo = np.frombuffer(vals.buffers()[1], off_t)[vals.offset:]
+    if len(lo) < 2:
+        return np.zeros(0, np.int64)
+    first_empty = vo[lo[:-1] + 1] == vo[lo[:-1]]
+    last_empty = vo[lo[1:]] == vo[lo[1:] - 1]
+    n = np.diff(lo).astype(np.int64) - first_empty - last_empty
+    return np.maximum(n, 0)
 
 
 def normalize_content_arrow(arr):
-    """:func:`normalize_content` over an Arrow string array, bit-identical.
+    """:func:`normalize_content` over an Arrow string array, bit-identical
+    (see :func:`normalize_content_tokens_arrow`)."""
+    return normalize_content_tokens_arrow(arr)[0]
+
+
+def normalize_content_tokens_arrow(arr, scans=None):
+    """:func:`normalize_content_arrow` plus each normalized row's whitespace
+    token count (``len(norm.split(" "))``, 0 for ``""``), as
+    ``(normalized, counts)``. The counts come from the split that builds the
+    normalized strings, so they are an int64 Arrow array only when that split
+    served every row (:func:`batch_is_clean`), and None otherwise. ``scans``
+    is the array's :func:`content_scans`, when the caller has it already.
 
     ASCII rows (the overwhelming majority of a code corpus) run entirely in
     C — NFC is the identity on ASCII, so only the whitespace collapse +
-    trim remain, executed by the non-regex split+join kernels
-    (:func:`_split_join_collapse`). Rows carrying \\x1c-\\x1f (in
+    trim remain, executed by Arrow's non-regex kernels:
+    ``ascii_split_whitespace`` emits one part per token (empty parts only at
+    the row edges), ``binary_join(…, ' ')`` + ``utf8_trim`` rebuild the
+    collapsed string — measured ~2.8× faster than the RE2 global
+    substitution on code text. Rows carrying \\x1c-\\x1f (in
     Python-``\\s`` but not Arrow's ascii whitespace class) take the RE2
     substitution; non-ASCII rows fall back to the scalar kernel per row
     (pyarrow's ``utf8_normalize`` cannot be used: as of 16.x it fails to
@@ -105,25 +151,32 @@ def normalize_content_arrow(arr):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    is_ascii = pc.string_is_ascii(arr)
-    if _has_c_controls(arr):
+    from localhost_address_matching_ray.functions.arrowbuf import one_array
+
+    arr = one_array(arr)
+    all_ascii, c_controls = scans if scans is not None else content_scans(arr)
+    counts = None
+    if c_controls:
         fast = pc.utf8_trim(
             pc.replace_substring_regex(arr, pattern=_ASCII_WS_PAT, replacement=" "),
             characters=" ",
         )
     else:
-        fast = _split_join_collapse(arr)
-    if pc.all(is_ascii).as_py():
-        return fast
+        parts = pc.ascii_split_whitespace(arr)
+        sep = pa.scalar(" ", pa.large_string()) if pa.types.is_large_string(arr.type) else " "
+        fast = pc.utf8_trim(pc.binary_join(parts, sep), characters=" ")
+        if batch_is_clean(arr, (all_ascii, c_controls)):
+            counts = pa.array(_nonempty_parts(parts), pa.int64())
+    if all_ascii:
+        return fast, counts
+    is_ascii = pc.string_is_ascii(arr)
     mask = np.asarray(is_ascii.to_numpy(zero_copy_only=False), dtype=bool)
     slow_idx = np.flatnonzero(~mask)
     slow_vals = normalize_content_array(arr.take(pa.array(slow_idx)).to_pylist())
     out = fast.to_pylist()
     for i, v in zip(slow_idx, slow_vals):
         out[i] = v
-    return pa.array(out, pa.string())
+    return pa.array(out, pa.string()), None
 
 
 def strip_comments_arrow(arr, comment_styles):

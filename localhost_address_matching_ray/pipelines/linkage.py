@@ -1,9 +1,16 @@
 """The flagship record-linkage pipeline (SURVEY.md §7.0):
 
-read corpus → normalize → exact-group (shuffle 1: content_sha256_norm)
-→ features on distinct-content reps (actor pool) → block (salted keys)
-→ groupby(block_key) pair+score (shuffle 2) → edges ∪ exact star edges
-→ union-find (iterated label shuffles) → clusters(row_id, cluster_id).
+read corpus → split a coarse source once (``_split_source``) → normalize +
+features as ONE stateless map, one task per block, no barrier between them
+(``normalize_and_extract_features``) → block (salted keys) → key-only
+candidate shuffle → verify → connected components → clusters(row_id,
+cluster_id).
+
+``collapse_exact_first`` inserts an exact-group shuffle on
+``content_sha256_norm`` between normalize and features (features then run
+on distinct-content reps, plus exact star edges);
+``feature_use_actors`` runs features on an actor pool; a checkpointed run
+persists normalize and features as separate stages.
 
 The reference's end-to-end flow is normalize → parse → match
 (``README.md:16-19``); each arrow above cites its stage module for the
@@ -25,7 +32,10 @@ from localhost_address_matching_ray.stages.blocking import (
 )
 from localhost_address_matching_ray.stages.cluster import assign_clusters, connected_components
 from localhost_address_matching_ray.stages.dedup import split_reps_and_edges, tag_exact_groups
-from localhost_address_matching_ray.stages.feature_stage import extract_features
+from localhost_address_matching_ray.stages.feature_stage import (
+    extract_features,
+    normalize_and_extract_features,
+)
 from localhost_address_matching_ray.stages.normalize_stage import normalize_corpus
 from localhost_address_matching_ray.state.checkpoint import load_or_compute
 from localhost_address_matching_ray.state.metrics import StageMetrics
@@ -55,6 +65,31 @@ def _source_blocks(ds: ray.data.Dataset) -> int | None:
         return ds.num_blocks()
     except Exception:
         return None
+
+
+def _split_source(
+    corpus: ray.data.Dataset, batch_size: int, cpus: int, floor: int
+) -> tuple[ray.data.Dataset, bool]:
+    """The source the fused front end maps over, and whether each of its
+    blocks is to be one task (``normalize_and_extract_features``'s
+    ``per_block``).
+
+    A source of ``floor`` blocks or more is returned as it is, re-bundled
+    into ``batch_size``-row batches. A coarser one (one Parquet file is one
+    read task) is split here, BEFORE normalize, into the smallest multiple
+    of ``cpus`` blocks that is at least ``floor`` and keeps every block at
+    or under ``batch_size`` rows, so each block is one task and every wave
+    fills every CPU. The row count comes from the source's metadata (the
+    Parquet footers, or a materialized dataset's block metadata) and never
+    runs the source; when it is unknown, the split is ``floor`` blocks and
+    the map re-bundles them."""
+    if (_source_blocks(corpus) or floor) >= floor:
+        return corpus, False
+    rows = corpus._meta_count()
+    if rows is None:
+        return corpus.repartition(floor), False
+    k = max(floor, -(-rows // batch_size))
+    return corpus.repartition(-(-k // cpus) * cpus), True
 
 
 def link_corpus(
@@ -135,25 +170,34 @@ def link_corpus(
             # serves every downstream consumer (assign, exact_dedup,
             # explain). Parallelism floor at 2×CPUs blocks: block count ≈
             # worker count leaves a straggler tail (measured 2× on the
-            # feature stage with 32 blocks on 30 workers), so coarse sources
-            # get one in-pipeline repartition (block split/merge only — not
-            # a key shuffle; the checkpointed path persists per stage and
-            # needs none of this).
-            if (_source_blocks(corpus) or nblocks) < nblocks:
+            # feature stage with 32 blocks on 30 workers). With stateless
+            # feature tasks, coarse sources are split before normalize
+            # (_split_source); an actor pool keeps its own map, so there the
+            # normalized rows are split (block split/merge only — not a key
+            # shuffle; the checkpointed path persists per stage and needs
+            # none of this).
+            if config.feature_use_actors and (_source_blocks(corpus) or nblocks) < nblocks:
                 normalized = normalized.repartition(nblocks)
             reps, exact_edges, rows_view = normalized, None, None
         else:
             reps, exact_edges, rows_view = normalized, None, normalized
 
-    features = load_or_compute(
-        ckpt, input_fingerprint, "features", fver,
-        lambda: extract_features(
-            # the collapse path's reps inherit the join's partitioning
-            # (often < CPUs) — resplit; the default path is already split
-            reps.repartition(nblocks) if config.collapse_exact_first else reps,
-            config,
-        ),
-    )
+    if ckpt is None and not config.collapse_exact_first and not config.feature_use_actors:
+        # normalize and features as one map over the split source: no
+        # barrier between them, one task per block (``reps`` stays the
+        # lazy, never-run normalize of the source)
+        source, per_block = _split_source(corpus, config.batch_size, cpus, nblocks)
+        features = normalize_and_extract_features(source, config, per_block)
+    else:
+        features = load_or_compute(
+            ckpt, input_fingerprint, "features", fver,
+            lambda: extract_features(
+                # the collapse path's reps inherit the join's partitioning
+                # (often < CPUs) — resplit; the default path is already split
+                reps.repartition(nblocks) if config.collapse_exact_first else reps,
+                config,
+            ),
+        )
     if ckpt is None:
         # blocking reads features twice (census + payload): pin the
         # (content-free, rep-only) feature table instead of recomputing it.

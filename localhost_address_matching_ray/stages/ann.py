@@ -102,12 +102,12 @@ def ann_topk(
     Output: (query_id, neighbor_id, rank, score).
     """
     ref = ray.put({"ids": np.asarray(query_ids), "matrix": np.asarray(query_matrix)})
-    from localhost_address_matching_ray.config import default_pool_size
+    from localhost_address_matching_ray.config import actor_pool_args
 
     cands = embeddings.map_batches(
         _TopKScorer, fn_constructor_args=(ref, k),
         batch_format="pyarrow", batch_size=4096,
-        concurrency=default_pool_size(concurrency), num_cpus=1,
+        **actor_pool_args(concurrency),
     )
 
     return cands.groupby("query_id").map_groups(
@@ -228,7 +228,7 @@ def ivf_topk(
     ``n_probe≈8, n_probe_data=1``. The registered query is rows-only
     checked, with the recall test in ``tests/test_docs_ops.py``.
     """
-    from localhost_address_matching_ray.config import default_pool_size
+    from localhost_address_matching_ray.config import actor_pool_args
 
     sample_tbl = _centroid_sample(embeddings, sample_cap)
     if sample_tbl.num_rows == 0:  # empty corpus: no cells, no neighbors
@@ -253,7 +253,7 @@ def ivf_topk(
     cands = embeddings.select_columns(["vec_id", "embedding"]).map_batches(
         _IvfTopKScorer, fn_constructor_args=(ref, k, n_probe_data),
         batch_format="pyarrow", batch_size=4096,
-        concurrency=default_pool_size(concurrency), num_cpus=1,
+        **actor_pool_args(concurrency),
     )
     return cands.groupby("query_id").map_groups(
         _topk_reduce_factory(k, dedup_neighbors=True), batch_format="pyarrow"
@@ -463,7 +463,7 @@ def lsh_cosine_pairs(
     vectors; the remaining tables cover the ring)."""
     import logging
 
-    from localhost_address_matching_ray.config import bucket_width, default_pool_size
+    from localhost_address_matching_ray.config import actor_pool_args, bucket_width
 
     logger = logging.getLogger(__name__)
     emb = embeddings.select_columns(["vec_id", "embedding"]).materialize()
@@ -492,7 +492,7 @@ def lsh_cosine_pairs(
         # contract) so every pool actor shares one modulus
         fn_constructor_args=(dim, n_planes, n_tables, 97, bucket_width()),
         batch_format="pyarrow", batch_size=4096,
-        concurrency=default_pool_size(concurrency), num_cpus=1,
+        **actor_pool_args(concurrency),
     )
 
     def verify_bucket(group: pa.Table) -> pa.Table:

@@ -1,12 +1,16 @@
-"""Feature stage — the stateful actor-pool tagger.
+"""Feature stage — the stateful extractor, built once per worker.
 
 Reference analog: the NER inference stage (``ner_address_parser.py``) —
 "load the model once, then stream batches" (``load_pipeline`` at ``:44-49``,
 batch loop at ``:186-214``) — and the gazetteer held in module state
-(``static_parser.py:19-23``). Here the per-actor state is the MinHasher
+(``static_parser.py:19-23``). Here the extractor state is the MinHasher
 permutation table, the memoizing token hasher, compiled comment-strip
 regexes, and the per-lang config dict (the broadcast gazetteer analog),
-all built once in ``__init__`` and reused for every batch.
+all built once in ``__init__`` and reused for every batch. By default it
+is cached per worker process under stateless tasks; ``feature_use_actors``
+holds it in an actor pool instead. The flagship's default run calls it
+from ``normalize_and_extract_features``, which normalizes and featurizes
+each batch in one task.
 
 Input: normalized corpus (needs ``content``, ``lang``).
 Output: drops ``content`` (wide rows must not ride the blocking shuffle) and
@@ -42,6 +46,7 @@ import ray.data
 
 from localhost_address_matching_ray.config import PipelineConfig
 from localhost_address_matching_ray.functions.arrowbuf import (
+    one_array,
     u8_matrix_to_binary,
     u64_rows_to_list_array,
 )
@@ -51,7 +56,8 @@ from localhost_address_matching_ray.functions.hashing import (
     shingle_hashes_flat,
 )
 from localhost_address_matching_ray.functions.normalize import (
-    _has_c_controls,
+    batch_is_clean,
+    content_scans,
     normalize_content,
     normalize_content_arrow,
     strip_comments,
@@ -110,8 +116,7 @@ class FeatureExtractor:
         (``strip_comments_arrow`` / ``normalize_content_arrow``) instead of
         per row in Python. User ``extra_rules`` keep Python ``re`` semantics
         (applied per row after the vectorized chain, as before)."""
-        if isinstance(content_col, pa.ChunkedArray):
-            content_col = content_col.combine_chunks()
+        content_col = one_array(content_col)
         n = len(langs)
         lang_arr = np.array(langs, dtype=object)
         token_lists: list = [None] * n
@@ -139,7 +144,9 @@ class FeatureExtractor:
                     token_lists[j] = tokenize(t)
         return token_lists
 
-    def _batch_token_hashes(self, content_col, langs: list[str]) -> list[np.ndarray]:
+    def _batch_token_hashes(
+        self, content_col, langs: list[str], clean: bool = False
+    ) -> list[np.ndarray]:
         """Per-doc token-HASH arrays (uint64) for a whole batch, Arrow-native
         end to end: comment-strip + normalize in RE2/C, ``split_pattern`` to
         an Arrow list array (no per-token Python strings), dictionary-encoded
@@ -148,7 +155,8 @@ class FeatureExtractor:
         ``hash_tokens(_doc_tokens(...))`` per row (tested) up to a 2⁻⁶⁴
         stop-hash collision. User ``extra_rules`` need Python ``re``
         semantics on the normalized string — that path falls back to the
-        string pipeline, unchanged.
+        string pipeline, unchanged. ``clean`` says the whole column already
+        passed :func:`batch_is_clean`, so no lang slice is scanned again.
 
         This exists for throughput AND for multi-actor scaling: the string
         path allocates one Python object per token (~10⁸ per 1M-row run),
@@ -161,8 +169,7 @@ class FeatureExtractor:
             return [hash_tokens(t) for t in toks]
         import pyarrow.compute as pc
 
-        if isinstance(content_col, pa.ChunkedArray):
-            content_col = content_col.combine_chunks()
+        content_col = one_array(content_col)
         n = len(langs)
         lang_arr = np.array(langs, dtype=object)
         out: list = [None] * n
@@ -178,9 +185,7 @@ class FeatureExtractor:
             # edges — and hash('') is already in the drop set below, so the
             # kept hashes are identical (≈5× less C time than the
             # normalize-then-split chain it replaces)
-            if sub.null_count == 0 and not _has_c_controls(sub) and pc.all(
-                pc.string_is_ascii(sub)
-            ).as_py():
+            if clean or batch_is_clean(sub, content_scans(sub)):
                 tok_list = pc.ascii_split_whitespace(sub)
             else:
                 tok_list = pc.split_pattern(
@@ -210,7 +215,9 @@ class FeatureExtractor:
                 out[j_global] = th_kept[offs[j_local] : offs[j_local + 1]]
         return out
 
-    def _batch_raw_token_sets(self, content_col) -> tuple[np.ndarray, np.ndarray]:
+    def _batch_raw_token_sets(
+        self, content_col, clean: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row SORTED-UNIQUE uint64 token hashes of the RAW normalized
         content as ``(flat row-major values, per-row lengths)``, for
         ``config.verify_mode == "exact"``.
@@ -220,11 +227,11 @@ class FeatureExtractor:
         stop strip, and ``split_pattern('', ' ') == ['']`` keeps the empty
         token for empty content — unlike the shingle path, whose tokens
         feed a similarity SKETCH and may drop noise. Hashes are the same
-        sha256-prefix family the SimHash oracle casts in SQL."""
+        sha256-prefix family the SimHash oracle casts in SQL. ``clean`` as in
+        :meth:`_batch_token_hashes`."""
         import pyarrow.compute as pc
 
-        if isinstance(content_col, pa.ChunkedArray):
-            content_col = content_col.combine_chunks()
+        content_col = one_array(content_col)
         n = len(content_col)
         if n == 0:
             return np.empty(0, np.uint64), np.empty(0, np.int64)
@@ -233,9 +240,7 @@ class FeatureExtractor:
         # empty strings at row edges, reconciled after the distinct step —
         # drop '' everywhere, then rows left with NO token get back the
         # spec's {''} (normalize+split yields [''] exactly for all-ws rows)
-        fast = not _has_c_controls(filled) and bool(
-            pc.all(pc.string_is_ascii(filled)).as_py()
-        )
+        fast = clean or batch_is_clean(filled, content_scans(filled))
         if fast:
             tok_list = pc.ascii_split_whitespace(filled)
         else:
@@ -268,7 +273,9 @@ class FeatureExtractor:
             return vals, lens
         return vals, np.bincount(rows, minlength=n).astype(np.int64)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table, clean: bool = False) -> pa.Table:
+        """Features of one normalized batch; ``clean`` as in
+        :meth:`_batch_token_hashes`."""
         langs = batch["lang"].to_pylist()
         k_default = self.config.shingle_k
         bands = self.config.lsh_bands
@@ -278,7 +285,7 @@ class FeatureExtractor:
         sha1 = hashlib.sha1
 
         n = len(langs)
-        th_list = self._batch_token_hashes(batch["content"], langs)
+        th_list = self._batch_token_hashes(batch["content"], langs, clean)
         # exact mode: the MinHash signature (and thus every band key and the
         # sig8 screen) is built over the SAME set the verifier measures — the
         # raw normalized token-hash set — so the LSH recall guarantee applies
@@ -289,7 +296,7 @@ class FeatureExtractor:
         # sharper similarity for code near-dup detection at scale.
         exact = self.config.verify_mode == "exact"
         if exact:
-            raw_vals, raw_lens = self._batch_raw_token_sets(batch["content"])
+            raw_vals, raw_lens = self._batch_raw_token_sets(batch["content"], clean)
         n_tok = np.fromiter(map(len, th_list), np.int64, count=n)
         lang_salts = np.empty(n, dtype=np.uint64)
         stem_keys = np.zeros(n, dtype=np.uint64)
@@ -399,16 +406,42 @@ def _config_cache_key(config: PipelineConfig) -> tuple:
     )
 
 
+def _process_extractor(key: tuple, config: PipelineConfig) -> FeatureExtractor:
+    fx = _PROCESS_EXTRACTORS.get(key)
+    if fx is None:
+        fx = _PROCESS_EXTRACTORS[key] = FeatureExtractor(config)
+    return fx
+
+
 def _extract_batch_factory(config: PipelineConfig):
     key = _config_cache_key(config)
 
     def extract(batch: pa.Table) -> pa.Table:
-        fx = _PROCESS_EXTRACTORS.get(key)
-        if fx is None:
-            fx = _PROCESS_EXTRACTORS[key] = FeatureExtractor(config)
-        return fx(batch)
+        return _process_extractor(key, config)(batch)
 
     return extract
+
+
+def _front_end_batch_factory(config: PipelineConfig):
+    from localhost_address_matching_ray.stages.normalize_stage import _normalize_batch
+
+    key = _config_cache_key(config)
+    rules = tuple(tuple(r) for r in config.extra_rules)
+
+    def normalize_and_extract(batch: pa.Table) -> pa.Table:
+        # one contiguous content array and one pair of batch-wide scans
+        # serve the normalize columns and every lang slice of the features
+        content = one_array(batch["content"])
+        batch = batch.set_column(
+            batch.schema.get_field_index("content"), "content", content
+        )
+        scans = content_scans(content)
+        normalized = _normalize_batch(batch, rules, scans)
+        return _process_extractor(key, config)(
+            normalized, batch_is_clean(content, scans)
+        )
+
+    return normalize_and_extract
 
 
 def extract_features(
@@ -437,4 +470,27 @@ def extract_features(
         _extract_batch_factory(config),
         batch_format="pyarrow",
         batch_size=config.batch_size,
+    )
+
+
+def normalize_and_extract_features(
+    corpus: ray.data.Dataset,
+    config: PipelineConfig | None = None,
+    per_block: bool = False,
+) -> ray.data.Dataset:
+    """``extract_features(normalize_corpus(corpus, config.batch_size,
+    config.extra_rules), config)`` as ONE stateless map: each batch is
+    normalized and featurized in the same task, so no feature task waits on
+    a normalize barrier, and the batch-wide content scans run once for both
+    stages. Same rows, columns and values as the two-stage form.
+
+    ``per_block=True`` makes each input block exactly one batch and one
+    task, for a source the caller has already split into blocks of at most
+    ``config.batch_size`` rows (``pipelines/linkage.py``); otherwise blocks
+    are re-bundled into ``config.batch_size``-row batches."""
+    config = config or PipelineConfig()
+    return corpus.map_batches(
+        _front_end_batch_factory(config),
+        batch_format="pyarrow",
+        batch_size=None if per_block else config.batch_size,
     )

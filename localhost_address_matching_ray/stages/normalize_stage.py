@@ -15,6 +15,12 @@ Adds columns:
 The heavy ``content`` column is preserved (the feature stage still needs it)
 but every stage after features drops it — wide rows must not ride shuffles
 (SURVEY.md §7.4).
+
+In the flagship's default run this stage does not get its own map:
+``feature_stage.normalize_and_extract_features`` calls ``_normalize_batch``
+and the feature extractor in the same task, over a source that
+``pipelines/linkage.py`` has split into one block per task, and shares the
+batch-wide content scans (``content_scans``) between them.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from localhost_address_matching_ray.functions.hashing import (
 )
 from localhost_address_matching_ray.functions.normalize import (
     canonicalize_path_array,
-    normalize_content_arrow,
+    normalize_content_tokens_arrow,
     path_stem_array,
 )
 
@@ -60,27 +66,33 @@ def _apply_extra_rules(norm: list[str], extra_rules) -> list[str]:
     return out
 
 
-def _normalize_batch(batch: pa.Table, extra_rules=()) -> pa.Table:
+def _normalize_batch(batch: pa.Table, extra_rules=(), scans=None) -> pa.Table:
+    """``scans`` is the content column's ``content_scans``, when the caller
+    has computed it already (the fused front end shares it with features)."""
     import pyarrow.compute as pc
 
     paths = batch["path"].to_pylist()
 
     canon = canonicalize_path_array(paths)
-    # content normalize runs in RE2/C for ASCII rows (bit-identical — see
-    # normalize_content_arrow); both sha256 columns hash utf-8 straight out
-    # of Arrow value buffers (sha256_hex_arrow) — the content column never
-    # materializes as Python strings unless user extra_rules force it
-    norm_arr = normalize_content_arrow(batch["content"])
+    # content normalize runs in C for ASCII rows (bit-identical — see
+    # normalize_content_tokens_arrow); both sha256 columns hash utf-8
+    # straight out of Arrow value buffers (sha256_hex_arrow) — the content
+    # column never materializes as Python strings unless user extra_rules
+    # force it
+    norm_arr, n_tokens = normalize_content_tokens_arrow(batch["content"], scans)
     if extra_rules:
         norm = _apply_extra_rules(norm_arr.to_pylist(), extra_rules)
         n_tokens = pa.array([len(x.split(" ")) if x else 0 for x in norm], pa.int64())
         sha_norm = sha256_hex_array(norm)
     else:
-        n_tokens = pc.if_else(
-            pc.equal(norm_arr, ""),
-            pa.scalar(0, pa.int64()),
-            pc.cast(pc.add(pc.count_substring(norm_arr, pattern=" "), 1), pa.int64()),
-        )
+        if n_tokens is None:
+            # a row the whitespace split did not serve (non-ASCII, \x1c-\x1f
+            # or null): count separators in the normalized strings instead
+            n_tokens = pc.if_else(
+                pc.equal(norm_arr, ""),
+                pa.scalar(0, pa.int64()),
+                pc.cast(pc.add(pc.count_substring(norm_arr, pattern=" "), 1), pa.int64()),
+            )
         sha_norm = sha256_hex_arrow(norm_arr)
     return (
         batch

@@ -40,11 +40,6 @@ def _join(fs_path: str, name: str) -> str:
     return posixpath.join(fs_path, name)
 
 
-def manifest_path(ckpt_dir: str) -> str:
-    _, p = resolve_fs(ckpt_dir)
-    return _join(p, MANIFEST)
-
-
 def checkpoint_valid(ckpt_dir: str, input_fingerprint: str, stage: str, version: str) -> bool:
     """True iff a completed checkpoint for (input, stage, version) exists."""
     try:

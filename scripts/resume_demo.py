@@ -47,8 +47,10 @@ def child() -> None:
     """One checkpointed linkage run; prints JSON {sec, rows, f1}."""
     import ray
 
+    from localhost_address_matching_ray.config import object_store_args
+
     ray.init(address="local", num_cpus=CPUS, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
+             ignore_reinit_error=True, logging_level="ERROR", **object_store_args())
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False

@@ -52,7 +52,9 @@ def main() -> int:
         # falls back to a local session
         kwargs = {"ignore_reinit_error": True, "logging_level": "ERROR"}
         if os.environ.get("RAY_ADDRESS", "local") == "local":
-            kwargs.update(address="local", include_dashboard=False)
+            from localhost_address_matching_ray.config import object_store_args
+
+            kwargs.update(address="local", include_dashboard=False, **object_store_args())
             if args.num_cpus:
                 kwargs.update(num_cpus=args.num_cpus)
         ray.init(**kwargs)

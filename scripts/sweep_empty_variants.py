@@ -31,12 +31,15 @@ def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only_tables = sys.argv[2:] or TABLES
 
+    from localhost_address_matching_ray.config import object_store_args
+
     ray.init(
         address="local",
         num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "8")),
         include_dashboard=False,
         ignore_reinit_error=True,
         logging_level="ERROR",
+        **object_store_args(),
     )
     from ray.data import DataContext
 

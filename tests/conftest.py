@@ -5,6 +5,8 @@ import pytest
 def ray_session():
     import ray
 
+    from localhost_address_matching_ray.config import object_store_args
+
     if not ray.is_initialized():
         ray.init(
             address="local",
@@ -12,6 +14,7 @@ def ray_session():
             include_dashboard=False,
             ignore_reinit_error=True,
             logging_level="ERROR",
+            **object_store_args(),
         )
     from ray.data import DataContext
 

@@ -398,6 +398,39 @@ def test_ann_topk_self_excluded_and_ranked():
         assert scores == sorted(scores, reverse=True)
 
 
+#: run in a child process with its own 1-CPU Ray session; argv[1] is the
+#: tables directory
+_ANN_ONE_CPU = """
+import sys
+import ray
+from localhost_address_matching_ray.config import object_store_args
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", **object_store_args())
+ray.data.DataContext.get_current().enable_progress_bars = False
+from localhost_address_matching_ray.pipelines.queries import REGISTRY
+print("rows", REGISTRY["ann_topk"].fn(sys.argv[1]).count())
+ray.shutdown()
+"""
+
+
+def test_ann_topk_finishes_on_one_cpu(docs):
+    """On a 1-CPU session the actor pool must not hold the only CPU: the
+    read that feeds it would never be scheduled and the query would hang."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root, RAY_ADDRESS="local")
+    sf_dir = os.path.dirname(docs.input_files()[0])
+    proc = subprocess.run(
+        [sys.executable, "-c", _ANN_ONE_CPU, sf_dir], cwd=root, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "rows 100" in proc.stdout, proc.stdout
+
+
 def test_centroid_sample_spread_and_deterministic():
     """IVF k-means training sample is a SPREAD over the id range (a prefix
     would mirror file order — sorted corpora would train on early clusters

@@ -29,6 +29,21 @@ def test_sha256_fixed_vectors():
     assert sha256_hex_array(["abc", ""]) == [sha256_hex("abc"), sha256_hex("")]
 
 
+def test_sha256_hex_arrow_matches_list_path():
+    """Hashing straight from the value buffer, for string and large_string
+    arrays, sliced or not, equals hashing the Python strings."""
+    import pyarrow as pa
+
+    from localhost_address_matching_ray.functions.hashing import sha256_hex_arrow
+
+    texts = ["abc", "", "café\x1c", "x" * 1000]
+    for typ in (pa.string(), pa.large_string()):
+        arr = pa.array(texts, typ)
+        assert sha256_hex_arrow(arr) == sha256_hex_array(texts)
+        assert sha256_hex_arrow(arr.slice(1, 2)) == sha256_hex_array(texts[1:3])
+        assert sha256_hex_arrow(pa.chunked_array([arr, arr])) == sha256_hex_array(texts * 2)
+
+
 def test_row_id_deterministic():
     a = row_id_array(["r"], ["p"], ["c"])
     b = row_id_array(["r"], ["p"], ["c"])

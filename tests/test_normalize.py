@@ -115,6 +115,37 @@ def test_arrow_kernels_match_scalar():
         ]
 
 
+def test_normalize_tokens_arrow_counts_match_scalar():
+    """The token counts normalize_content_tokens_arrow takes from its split
+    equal ``len(normalize_content(t).split(" "))`` (0 for empty) on clean
+    arrays, sliced and large_string ones too; any non-ASCII, \\x1c-\\x1f or
+    null value makes the counts None."""
+    import random
+
+    import pyarrow as pa
+
+    from localhost_address_matching_ray.functions.normalize import (
+        normalize_content_tokens_arrow,
+    )
+
+    rng = random.Random(5)
+    pool = "ab c\t\n\x0b\x0c\r "
+    texts = ["".join(rng.choice(pool) for _ in range(rng.randint(0, 40)))
+             for _ in range(2000)]
+    texts += ["", " ", "  \n", "x", " x", "x ", " x y  "]
+    want = [len(n.split(" ")) if n else 0 for n in map(normalize_content, texts)]
+    for typ in (pa.string(), pa.large_string()):
+        arr = pa.array(texts, typ)
+        norm, counts = normalize_content_tokens_arrow(arr)
+        assert norm.to_pylist() == [normalize_content(t) for t in texts]
+        assert counts.to_pylist() == want
+        _, counts = normalize_content_tokens_arrow(arr.slice(3, 500))
+        assert counts.to_pylist() == want[3:503]
+    for odd in ("café", "a\x1cb", None):
+        _, counts = normalize_content_tokens_arrow(pa.array(["a b", odd], pa.string()))
+        assert counts is None
+
+
 def test_batch_tokens_matches_doc_tokens():
     """FeatureExtractor._batch_tokens == per-row _doc_tokens, including
     comment styles, stop tokens, and extra_rules."""
