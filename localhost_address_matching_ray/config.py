@@ -166,10 +166,9 @@ class PipelineConfig:
 
     # --- execution ---
     batch_size: int = 4096
-    feature_concurrency: int = 4      # actor-pool size (if feature_use_actors)
-    feature_use_actors: bool = False  # False: stateless tasks w/ per-process
-                                      # cached state (cheap-state default);
-                                      # True: actor pool (heavy models)
+    feature_concurrency: int = 4      # feature parallelism floor:
+                                      # link_corpus runs features over at
+                                      # least 4 × this many blocks
     checkpoint_dir: str | None = None # None = no checkpointing
     pipeline_version: str = "v1"      # invalidates stale checkpoints (map.py:175 lesson)
 
@@ -248,19 +247,6 @@ def default_pool_size(requested: int | None = None) -> int:
     pool fits beside the other stages)."""
     cap = max(1, _session_cpus() - 2)
     return min(requested, cap) if requested else cap
-
-
-def actor_pool_args(requested: int | None = None) -> dict:
-    """``concurrency`` and ``num_cpus`` for a ``map_batches`` actor pool:
-    :func:`default_pool_size` actors of one CPU each. On a session of 2 CPUs
-    or fewer the pool's actors share what one read or shuffle task leaves,
-    ``(CPUs − 1) / pool size`` each: on 1 CPU the one actor reserves none,
-    else it would hold the only CPU and the read that feeds it could never
-    be scheduled."""
-    size = default_pool_size(requested)
-    cpus = _session_cpus()
-    num_cpus = 1 if cpus > 2 else max(0, cpus - 1) / size
-    return {"concurrency": size, "num_cpus": num_cpus}
 
 
 def _session_cpus() -> int:

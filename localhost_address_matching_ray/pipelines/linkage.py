@@ -8,8 +8,7 @@ cluster_id).
 
 ``collapse_exact_first`` inserts an exact-group shuffle on
 ``content_sha256_norm`` between normalize and features (features then run
-on distinct-content reps, plus exact star edges);
-``feature_use_actors`` runs features on an actor pool; a checkpointed run
+on distinct-content reps, plus exact star edges); a checkpointed run
 persists normalize and features as separate stages.
 
 The reference's end-to-end flow is normalize → parse → match
@@ -134,11 +133,12 @@ def link_corpus(
         fver += f"+vf-{config.verify_mode}"
 
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    # parallelism floor: ≥2 blocks per CPU AND ≥4 blocks per feature actor.
-    # The second term kills the last-wave straggler tail: with blocks ≈
-    # actor count × 2.3 (e.g. 32 blocks on 14 actors) the final wave leaves
-    # most actors idle — measured 24% of the feature stage's wall at 16
-    # CPUs on the 1M bench. Four even waves bound that tail at ~6%.
+    # parallelism floor: ≥2 blocks per CPU AND ≥4 blocks per unit of
+    # feature_concurrency. The second term kills the last-wave straggler
+    # tail: with blocks ≈ workers × 2.3 (e.g. 32 blocks on 14 feature
+    # actors) the final wave leaves most workers idle — measured 24% of the
+    # feature stage's wall at 16 CPUs on the 1M bench. Four even waves
+    # bound that tail at ~6%.
     nblocks = max(8, cpus * 2, 4 * config.feature_concurrency)
 
     normalized = load_or_compute(
@@ -172,17 +172,13 @@ def link_corpus(
             # worker count leaves a straggler tail (measured 2× on the
             # feature stage with 32 blocks on 30 workers). With stateless
             # feature tasks, coarse sources are split before normalize
-            # (_split_source); an actor pool keeps its own map, so there the
-            # normalized rows are split (block split/merge only — not a key
-            # shuffle; the checkpointed path persists per stage and needs
-            # none of this).
-            if config.feature_use_actors and (_source_blocks(corpus) or nblocks) < nblocks:
-                normalized = normalized.repartition(nblocks)
+            # (_split_source; the checkpointed path persists per stage and
+            # needs none of this).
             reps, exact_edges, rows_view = normalized, None, None
         else:
             reps, exact_edges, rows_view = normalized, None, normalized
 
-    if ckpt is None and not config.collapse_exact_first and not config.feature_use_actors:
+    if ckpt is None and not config.collapse_exact_first:
         # normalize and features as one map over the split source: no
         # barrier between them, one task per block (``reps`` stays the
         # lazy, never-run normalize of the source)

@@ -2788,9 +2788,11 @@ FROM grid g LEFT JOIN cnt c
     "EVERY hour × type row exists, zeros included): pre-aggregated counts "
     "first (the only data-sized pass), then the span is a 2-scalar "
     "aggregate, the hour grid is ray.data.range(n_hours) cross-expanded "
-    "with the (bounded) type list inside map_batches, and the zero-fill is "
-    "a distributed left join of grid onto counts — the raw stream is never "
-    "re-read and nothing data-sized touches the driver",
+    "with the (bounded) type list inside map_batches. The zero-fill happens "
+    "inside that expansion against the counts, broadcast as a sorted key "
+    "array while they number at most GAPFILL_BROADCAST_MAX rows; above that "
+    "ceiling it is a distributed left join of grid onto counts. The raw "
+    "stream is never re-read",
 )
 def events_gapfill_hourly(sf_dir: str) -> ray.data.Dataset:
     ev = read_table(sf_dir, "events", columns=["ts", "event_type"])
@@ -3678,7 +3680,7 @@ def _lsh_pairs_oracle_sql(
 ) -> str:
     """Exact DuckDB oracle for :func:`lsh_cosine_pairs`: the seeded
     hyperplanes (``RandomState(seed).randn(n_tables, n_planes, dim)`` —
-    identical to ``_HyperplaneKeyer``) are embedded as DOUBLE[] literals
+    identical to the planes ``lsh_cosine_pairs`` broadcasts) are embedded as DOUBLE[] literals
     (shortest-roundtrip repr = exact float64 recovery), sign bits are packed
     into per-table codes, and the candidate set is the self-join on
     (table, code) — the same bucket semantics as the Ray stage modulo a

@@ -1,9 +1,10 @@
 """Similarity search over an embedding column (``list<float>``).
 
 Training-data-pipeline operator family: brute-force cosine top-k as the
-baseline — the query matrix is broadcast once via ``ray.put`` and every batch
-does one float64 matmul against it (never re-shipped per batch); an
-LSH-bucketed variant (random hyperplane signs → bucket key) is the scale
+baseline — the query matrix is broadcast once via ``ray.put``, fetched once
+per worker process by stateless tasks (``stages/broadcast.cached_get``), and
+every batch does one float64 matmul against it (never re-shipped per batch);
+an LSH-bucketed variant (random hyperplane signs → bucket key) is the scale
 path, trading exactness for a ``groupby(bucket)`` instead of all-pairs.
 
 Scores are rounded to 6 decimals and ranked on the rounded value with
@@ -19,6 +20,7 @@ import ray
 import ray.data
 
 from localhost_address_matching_ray.functions.similarity import duckdb_round
+from localhost_address_matching_ray.stages.broadcast import cached_get
 
 
 def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,20 +53,18 @@ def _emb_matrix(batch: pa.Table, col: str = "embedding", dim: int = 0) -> np.nda
     return flat.reshape(batch.num_rows, -1)
 
 
-class _TopKScorer:
-    """Actor: holds the normalized broadcast query matrix; per batch emits
-    each query's top-k *within the batch* (k small, batches large → the
-    candidate stream is tiny; a final per-query reduce picks global top-k)."""
+def _topk_scorer_factory(query_ref, k: int):
+    """Stateless-task scorer over the broadcast query bundle (ids, float64
+    matrix), fetched once per worker process: per batch it emits each
+    query's top-k *within the batch* (k small, batches large → the
+    candidate stream is tiny; a final per-query reduce picks global
+    top-k)."""
 
-    def __init__(self, query_ref, k: int) -> None:
-        q = ray.get(query_ref)
-        self.qids = q["ids"]
-        self.qm = q["matrix"].astype(np.float64)
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cm = _emb_matrix(batch, dim=self.qm.shape[1])
-        sims = _cosine_matrix(self.qm, cm)  # (nq, nb)
+    def topk_batch(batch: pa.Table) -> pa.Table:
+        q = cached_get(query_ref)
+        qids, qm = q["ids"], q["matrix"]
+        cm = _emb_matrix(batch, dim=qm.shape[1])
+        sims = _cosine_matrix(qm, cm)  # (nq, nb)
         vec_ids = batch["vec_id"].to_numpy(zero_copy_only=False)
         # columns ordered by vec_id so the stable argsort's candidate cut
         # breaks score TIES by vec_id asc — the final reduce's (and the
@@ -74,17 +74,19 @@ class _TopKScorer:
         vo = np.argsort(vec_ids, kind="stable")
         sims, vec_ids = sims[:, vo], vec_ids[vo]
         nq, nb = sims.shape
-        k = min(self.k + 1, nb)  # +1: self-hit may be in-batch
+        kk = min(k + 1, nb)  # +1: self-hit may be in-batch
         # per query: candidate top-k within this batch
-        idx = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-        qid_out = np.repeat(self.qids, k)
+        idx = np.argsort(-sims, axis=1, kind="stable")[:, :kk]
+        qid_out = np.repeat(qids, kk)
         cand = vec_ids[idx.ravel()]
-        score = sims[np.repeat(np.arange(nq), k), idx.ravel()]
+        score = sims[np.repeat(np.arange(nq), kk), idx.ravel()]
         return pa.table({
             "query_id": pa.array(qid_out, pa.int64()),
             "neighbor_id": pa.array(cand, pa.int64()),
             "score": pa.array(score, pa.float64()),
         })
+
+    return topk_batch
 
 
 def ann_topk(
@@ -92,22 +94,20 @@ def ann_topk(
     query_ids: np.ndarray,
     query_matrix: np.ndarray,
     k: int = 10,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """Global top-k cosine neighbors (self excluded) for each query row.
 
-    Two-stage top-k: per-batch candidates (map_batches, broadcast queries)
-    then a per-query ``groupby(query_id).map_groups`` exact reduce — the
-    partial-aggregate-then-small-shuffle pattern.
+    Two-stage top-k: per-batch candidates (stateless map_batches tasks,
+    broadcast queries) then a per-query ``groupby(query_id).map_groups``
+    exact reduce — the partial-aggregate-then-small-shuffle pattern.
     Output: (query_id, neighbor_id, rank, score).
     """
-    ref = ray.put({"ids": np.asarray(query_ids), "matrix": np.asarray(query_matrix)})
-    from localhost_address_matching_ray.config import actor_pool_args
-
+    ref = ray.put({
+        "ids": np.asarray(query_ids),
+        "matrix": np.asarray(query_matrix).astype(np.float64),
+    })
     cands = embeddings.map_batches(
-        _TopKScorer, fn_constructor_args=(ref, k),
-        batch_format="pyarrow", batch_size=4096,
-        **actor_pool_args(concurrency),
+        _topk_scorer_factory(ref, k), batch_format="pyarrow", batch_size=4096,
     )
 
     return cands.groupby("query_id").map_groups(
@@ -150,40 +150,35 @@ def _topk_reduce_factory(k: int, dedup_neighbors: bool = False):
     return reduce_group
 
 
-class _IvfTopKScorer:
-    """Actor: centroids + per-cell query lists broadcast once; a batch row
-    is scored ONLY against the queries probing one of its ``n_probe_data``
-    cells — per-batch work shrinks by ~ (n_probe·n_probe_data)/n_cells vs
-    the brute broadcast scorer."""
+def _ivf_topk_scorer_factory(ref, k: int, n_probe_data: int):
+    """Stateless-task scorer over the broadcast IVF bundle (query ids and
+    matrix, centroids, per-cell query lists), fetched once per worker
+    process: a batch row is scored ONLY against the queries probing one of
+    its ``n_probe_data`` cells — per-batch work shrinks by ~
+    (n_probe·n_probe_data)/n_cells vs the brute broadcast scorer."""
 
-    def __init__(self, ref, k: int, n_probe_data: int) -> None:
-        st = ray.get(ref)
-        self.qids = st["ids"]
-        self.qm = st["qm"]
-        self.cent = st["cent"]
-        self.cell_queries = st["cq"]
-        self.k = k
-        self.n_probe_data = n_probe_data
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _emb_matrix(batch, dim=self.cent.shape[1])
+    def topk_batch(batch: pa.Table) -> pa.Table:
+        st = cached_get(ref)
+        qids, qm, cent, cell_queries = st["ids"], st["qm"], st["cent"], st["cq"]
+        m = _emb_matrix(batch, dim=cent.shape[1])
         mn = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
-        pd_ = min(self.n_probe_data, self.cent.shape[0])
-        cells = np.argsort(-(mn @ self.cent.T), axis=1, kind="stable")[:, :pd_]
+        pd_ = min(n_probe_data, cent.shape[0])
+        cells = np.argsort(-(mn @ cent.T), axis=1, kind="stable")[:, :pd_]
         vec_ids = batch["vec_id"].to_numpy(zero_copy_only=False)
         qs, ns, ss = [], [], []
         for c in np.unique(cells):
-            qidx = self.cell_queries.get(int(c))
+            qidx = cell_queries.get(int(c))
             if qidx is None or len(qidx) == 0:
                 continue
             rows = np.where((cells == c).any(axis=1))[0]
             # vec_id-ordered rows: stable argsort then breaks score ties by
-            # vec_id asc — the reduce's ranking contract (see _TopKScorer)
+            # vec_id asc — the reduce's ranking contract (see
+            # _topk_scorer_factory)
             rows = rows[np.argsort(vec_ids[rows], kind="stable")]
-            sims = _cosine_matrix(self.qm[qidx], m[rows])  # (nq_c, nr)
-            kk = min(self.k + 1, len(rows))
+            sims = _cosine_matrix(qm[qidx], m[rows])  # (nq_c, nr)
+            kk = min(k + 1, len(rows))
             idx = np.argsort(-sims, axis=1, kind="stable")[:, :kk]
-            qs.append(np.repeat(self.qids[qidx], kk))
+            qs.append(np.repeat(qids[qidx], kk))
             ns.append(vec_ids[rows][idx.ravel()])
             ss.append(sims[np.repeat(np.arange(len(qidx)), kk), idx.ravel()])
         if not qs:
@@ -198,6 +193,8 @@ class _IvfTopKScorer:
             "score": pa.array(np.concatenate(ss), pa.float64()),
         })
 
+    return topk_batch
+
 
 def ivf_topk(
     embeddings: ray.data.Dataset,
@@ -209,7 +206,6 @@ def ivf_topk(
     n_probe_data: int = 2,
     sample_cap: int = 8192,
     seed: int = 211,
-    concurrency: int | None = None,
 ) -> ray.data.Dataset:
     """IVF multi-probe top-k — the similarity-SEARCH scale path
     (:func:`ann_topk` is the brute broadcast baseline that scores every
@@ -228,8 +224,6 @@ def ivf_topk(
     ``n_probe≈8, n_probe_data=1``. The registered query is rows-only
     checked, with the recall test in ``tests/test_docs_ops.py``.
     """
-    from localhost_address_matching_ray.config import actor_pool_args
-
     sample_tbl = _centroid_sample(embeddings, sample_cap)
     if sample_tbl.num_rows == 0:  # empty corpus: no cells, no neighbors
         return ray.data.from_arrow(pa.table({
@@ -251,9 +245,8 @@ def ivf_topk(
         "ids": np.asarray(query_ids), "qm": qm, "cent": cent, "cq": cell_queries,
     })
     cands = embeddings.select_columns(["vec_id", "embedding"]).map_batches(
-        _IvfTopKScorer, fn_constructor_args=(ref, k, n_probe_data),
+        _ivf_topk_scorer_factory(ref, k, n_probe_data),
         batch_format="pyarrow", batch_size=4096,
-        **actor_pool_args(concurrency),
     )
     return cands.groupby("query_id").map_groups(
         _topk_reduce_factory(k, dedup_neighbors=True), batch_format="pyarrow"
@@ -268,7 +261,6 @@ COSINE_BASELINE_MAX_ROWS = 200_000
 def cosine_pairs(
     embeddings: ray.data.Dataset,
     threshold: float,
-    concurrency: int = 4,
     max_rows: int | None = None,
 ) -> ray.data.Dataset:
     """All pairs (u < v) with round(cosine, 6) ≥ threshold — the BRUTE-FORCE
@@ -294,7 +286,7 @@ def cosine_pairs(
     mat_ref = ray.put({"ids": ids, "m": _emb_matrix(full)})
 
     def score(batch: pa.Table) -> pa.Table:
-        ref = ray.get(mat_ref)
+        ref = cached_get(mat_ref)
         bids = batch["vec_id"].to_numpy(zero_copy_only=False)
         sims = _cosine_matrix(_emb_matrix(batch, dim=ref["m"].shape[1]), ref["m"])
         bi, fj = np.nonzero(sims >= threshold)
@@ -319,56 +311,39 @@ _LSH_P1 = np.uint64(0x9E3779B97F4A7C15)
 _LSH_P2 = np.uint64(0xBF58476D1CE4E5B9)
 _LSH_P3 = np.uint64(0x94D049BB133111EB)
 
-#: per-worker-process cache of the current broadcast embedding bundle
-#: (one entry, cleared on replacement — same policy as pairs._PROCESS_BUNDLES)
-_PROCESS_EMB: dict = {}
-
-
-def _cached_bundle(ref):
-    key = ref.hex()
-    val = _PROCESS_EMB.get(key)
-    if val is None:
-        _PROCESS_EMB.clear()
-        val = _PROCESS_EMB[key] = ray.get(ref)
-    return val
-
-
-class _HyperplaneKeyer:
-    """Actor: random-hyperplane LSH bucket keys for cosine similarity —
-    KEY-ONLY emission (the flagship/doc-LSH lesson: vectors never ride the
-    band shuffle; round 2 shipped the full float32 vector on every one of
-    ``n_tables`` band rows — 64× payload amplification at the registered
-    config).
+def _hyperplane_keyer_factory(planes_ref, n_buckets: int):
+    """Stateless-task random-hyperplane LSH bucket keys for cosine
+    similarity over the broadcast ``(n_tables, n_planes, dim)`` plane array,
+    fetched once per worker process — KEY-ONLY emission (the
+    flagship/doc-LSH lesson: vectors never ride the band shuffle; round 2
+    shipped the full float32 vector on every one of ``n_tables`` band rows
+    — 64× payload amplification at the registered config).
 
     ``n_planes`` sign bits per table × ``n_tables`` tables (fixed-seed
-    hyperplanes, identical on every worker). Two vectors with cosine ≥ t
+    hyperplanes built once on the driver). Two vectors with cosine ≥ t
     share a bucket in at least one table with probability
     1 − (1 − (1 − θ/π)^n_planes)^n_tables. Each row emits ``n_tables``
     rows of (vec_id, bucket_key uint64, bucket) — 20 B — built in one
     vectorized pass (sign matmul → power-of-two dot → splitmix finalize).
-    """
 
-    def __init__(self, dim: int, n_planes: int = 12, n_tables: int = 8, seed: int = 97,
-                 n_buckets: int = 64) -> None:
-        # n_buckets MUST be resolved on the driver and passed in: this class
-        # runs as a map_batches actor, and config.bucket_width() evaluated on
-        # workers of an autoscaling cluster could disagree across actors —
-        # same bucket_key, different bucket → silently dropped pairs.
-        rng = np.random.RandomState(seed)
-        self.planes = rng.randn(n_tables, n_planes, dim)
-        self.n_tables = n_tables
-        self._pw = np.uint64(1) << np.arange(n_planes, dtype=np.uint64)
-        self.n_buckets = np.uint64(n_buckets)
+    ``n_buckets`` MUST be resolved on the driver and captured here:
+    config.bucket_width() evaluated on workers of an autoscaling cluster
+    could disagree across tasks — same bucket_key, different bucket →
+    silently dropped pairs."""
+    nb = np.uint64(n_buckets)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _emb_matrix(batch, dim=self.planes.shape[2])
+    def key_batch(batch: pa.Table) -> pa.Table:
+        planes = cached_get(planes_ref)
+        n_tables, n_planes, dim = planes.shape
+        pw = np.uint64(1) << np.arange(n_planes, dtype=np.uint64)
+        m = _emb_matrix(batch, dim=dim)
         ids = batch["vec_id"].to_numpy(zero_copy_only=False)
         n = len(ids)
-        keys = np.empty((self.n_tables, n), dtype=np.uint64)
+        keys = np.empty((n_tables, n), dtype=np.uint64)
         with np.errstate(over="ignore"):  # uint64 wraparound is the hash
-            for t in range(self.n_tables):
-                signs = ((m @ self.planes[t].T) > 0).astype(np.uint64)  # (n, n_planes)
-                code = signs @ self._pw
+            for t in range(n_tables):
+                signs = ((m @ planes[t].T) > 0).astype(np.uint64)  # (n, n_planes)
+                code = signs @ pw
                 k = (code + np.uint64(1)) * _LSH_P1 ^ np.uint64(t + 1) * _LSH_P3
                 k ^= k >> np.uint64(30)
                 k *= _LSH_P2
@@ -376,10 +351,12 @@ class _HyperplaneKeyer:
                 keys[t] = k
         kh = keys.ravel()
         return pa.table({
-            "vec_id": pa.array(np.tile(ids, self.n_tables), pa.int64()),
+            "vec_id": pa.array(np.tile(ids, n_tables), pa.int64()),
             "bucket_key": pa.array(kh, pa.uint64()),
-            "bucket": pa.array((kh % self.n_buckets).astype(np.int32), pa.int32()),
+            "bucket": pa.array((kh % nb).astype(np.int32), pa.int32()),
         })
+
+    return key_batch
 
 
 def _dedup_pairs_max_score(raw: ray.data.Dataset, buckets: int | None = None) -> ray.data.Dataset:
@@ -435,7 +412,6 @@ def lsh_cosine_pairs(
     threshold: float,
     n_planes: int = 12,
     n_tables: int = 8,
-    concurrency: int | None = None,
     max_rows: int | None = None,
     max_bucket_rows: int = 8192,
 ) -> ray.data.Dataset:
@@ -463,7 +439,7 @@ def lsh_cosine_pairs(
     vectors; the remaining tables cover the ring)."""
     import logging
 
-    from localhost_address_matching_ray.config import actor_pool_args, bucket_width
+    from localhost_address_matching_ray.config import bucket_width
 
     logger = logging.getLogger(__name__)
     emb = embeddings.select_columns(["vec_id", "embedding"]).materialize()
@@ -486,13 +462,14 @@ def lsh_cosine_pairs(
     bundle_ref = ray.put((ids_all[order], mat))
     dim = mat.shape[1]
 
+    planes_ref = ray.put(
+        np.random.RandomState(97).randn(n_tables, n_planes, dim)
+    )
     keyed = emb.map_batches(
-        _HyperplaneKeyer,
         # bucket width resolved HERE on the driver (config.bucket_width's
-        # contract) so every pool actor shares one modulus
-        fn_constructor_args=(dim, n_planes, n_tables, 97, bucket_width()),
+        # contract) so every task shares one modulus
+        _hyperplane_keyer_factory(planes_ref, bucket_width()),
         batch_format="pyarrow", batch_size=4096,
-        **actor_pool_args(concurrency),
     )
 
     def verify_bucket(group: pa.Table) -> pa.Table:
@@ -506,7 +483,7 @@ def lsh_cosine_pairs(
         n = group.num_rows
         if n < 2:
             return empty
-        ids_s, m_s = _cached_bundle(bundle_ref)
+        ids_s, m_s = cached_get(bundle_ref)
         kh = group["bucket_key"].to_numpy(zero_copy_only=False)
         vids = group["vec_id"].to_numpy(zero_copy_only=False)
         o = np.lexsort((vids, kh))
@@ -675,7 +652,7 @@ def ivf_cosine_pairs(
     cent_ref = ray.put(cent)
 
     def assign(batch: pa.Table) -> pa.Table:
-        c = _cached_bundle(cent_ref)
+        c = cached_get(cent_ref)
         m = _emb_matrix(batch, dim=c.shape[1])
         mn = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
         sims = mn @ c.T
@@ -793,7 +770,7 @@ def _score_pairs_broadcast(
     inv_ref = ray.put(involved)
 
     def fetch(t: pa.Table) -> pa.Table:
-        inv = _cached_bundle(inv_ref)
+        inv = cached_get(inv_ref)
         ids = t["vec_id"].to_numpy(zero_copy_only=False)
         pos = np.minimum(np.searchsorted(inv, ids), len(inv) - 1)
         return t.filter(pa.array(inv[pos] == ids))
@@ -812,7 +789,7 @@ def _score_pairs_broadcast(
     def score(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.table(dict(_EMPTY_PAIR_COLS))
-        ids_s, m32 = _cached_bundle(bundle_ref)
+        ids_s, m32 = cached_get(bundle_ref)
         u = t["u"].to_numpy(zero_copy_only=False)
         v = t["v"].to_numpy(zero_copy_only=False)
         mu = m32[np.searchsorted(ids_s, u)].astype(np.float64)

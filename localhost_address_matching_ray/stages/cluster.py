@@ -33,22 +33,9 @@ import ray
 import ray.data
 from ray.data.aggregate import Max, Min
 
+from localhost_address_matching_ray.stages.broadcast import cached_get
+
 logger = logging.getLogger(__name__)
-
-#: per-worker-process cache of the CURRENT broadcast cluster map (keyed by
-#: object ref hex). At most one entry lives at a time — repeated runs in a
-#: long-lived session must not accumulate full row_id→cluster dicts.
-_PROCESS_MAPS: dict = {}
-
-
-def _cached_broadcast(ref):
-    """Per-process cache of ``ray.get(ref)`` holding at most one entry."""
-    key = ref.hex()
-    val = _PROCESS_MAPS.get(key)
-    if val is None:
-        _PROCESS_MAPS.clear()
-        val = _PROCESS_MAPS[key] = ray.get(ref)
-    return val
 
 
 def _hex16_to_u64(ids: list[str]) -> "np.ndarray | None":
@@ -429,7 +416,7 @@ def _assign_broadcast_u64(
     member_ref = ray.put(mk_s)
 
     def pick_members(t: pa.Table) -> pa.Table:
-        keys = _cached_broadcast(member_ref)
+        keys = cached_get(member_ref)
         qk = _hex16_col_to_u64(t["row_id"])
         if qk is None:
             raise ValueError("mixed non-hex row_ids in a hex-id pipeline")
@@ -469,7 +456,7 @@ def _assign_broadcast_u64(
     maps_ref = ray.put((mk_s, row_canon))  # u64 + S64: zero-copy from plasma
 
     def resolve(t: pa.Table) -> pa.Table:
-        keys, vals = _cached_broadcast(maps_ref)
+        keys, vals = cached_get(maps_ref)
         qk = _hex16_col_to_u64(t["row_id"])
         if qk is None:
             raise ValueError("mixed non-hex row_ids in a hex-id pipeline")
@@ -550,7 +537,7 @@ def assign_clusters(
         def pick_members(t: pa.Table) -> pa.Table:
             import numpy as np
 
-            lk = _cached_broadcast(label_ref)
+            lk = cached_get(label_ref)
             rids = t["row_id"].to_pylist()
             qk = _hex16_to_u64(rids) if "u64" in lk else None
             if qk is not None:
@@ -595,7 +582,7 @@ def assign_clusters(
         def resolve(t: pa.Table) -> pa.Table:
             import numpy as np
 
-            m = _cached_broadcast(maps_ref)
+            m = cached_get(maps_ref)
             rids = t["row_id"].to_pylist()
             shas = t["content_sha256"].to_pylist()
             qk = _hex16_to_u64(rids) if "u64" in m else None

@@ -32,6 +32,7 @@ from localhost_address_matching_ray.functions.hashing import (
 from localhost_address_matching_ray.functions.normalize import normalize_content
 from localhost_address_matching_ray.functions.similarity import duckdb_round
 from localhost_address_matching_ray.functions.text import quality_features
+from localhost_address_matching_ray.stages.broadcast import cached_get
 from localhost_address_matching_ray.stages.pairs import _unique_pairs
 
 
@@ -531,11 +532,7 @@ def minhash_lsh_pairs(
         after a lexsort, adjacent equal values within a pair count the
         intersection (each doc's hashes are unique, so a value appears at
         most twice per pair). No per-pair Python."""
-        ids, offs, flat = _PROCESS_DOC_STATE.get("lsh_verify", (None,) * 3)
-        if ids is None or _PROCESS_DOC_STATE.get("lsh_verify_ref") != sh_ref.hex():
-            ids, offs, flat = ray.get(sh_ref)
-            _PROCESS_DOC_STATE["lsh_verify"] = (ids, offs, flat)
-            _PROCESS_DOC_STATE["lsh_verify_ref"] = sh_ref.hex()
+        ids, offs, flat = cached_get(sh_ref)
         u = batch["u"].to_numpy(zero_copy_only=False)
         v = batch["v"].to_numpy(zero_copy_only=False)
         iu = np.minimum(np.searchsorted(ids, u), len(ids) - 1)

@@ -6,9 +6,8 @@ batch loop at ``:186-214``) — and the gazetteer held in module state
 (``static_parser.py:19-23``). Here the extractor state is the MinHasher
 permutation table, the memoizing token hasher, compiled comment-strip
 regexes, and the per-lang config dict (the broadcast gazetteer analog),
-all built once in ``__init__`` and reused for every batch. By default it
-is cached per worker process under stateless tasks; ``feature_use_actors``
-holds it in an actor pool instead. The flagship's default run calls it
+all built once in ``__init__`` and reused for every batch, cached per
+worker process under stateless tasks. The flagship's default run calls it
 from ``normalize_and_extract_features``, which normalizes and featurizes
 each batch in one task.
 
@@ -74,8 +73,8 @@ KEEP_COLUMNS = [
 
 
 class FeatureExtractor:
-    """Callable-class actor: ``__init__`` once per actor, ``__call__`` per
-    batch (`map_batches(FeatureExtractor, concurrency=N)`)."""
+    """Callable extractor: ``__init__`` once per worker process (cached by
+    the stateless feature tasks), ``__call__`` per batch."""
 
     def __init__(self, config: PipelineConfig) -> None:
         import re
@@ -449,23 +448,11 @@ def extract_features(
 ) -> ray.data.Dataset:
     """Feature extraction over Arrow batches.
 
-    Default is task-based with per-process cached state: this state
-    (MinHash permutations, compiled regexes) builds in ~1 ms, so stateless
-    tasks on already-warm workers beat an actor pool's process spin-up.
-    ``config.feature_use_actors=True`` switches to the actor-pool form —
-    the right choice when per-worker state is genuinely heavy (a model,
-    a large gazetteer), mirroring the reference's NER stage.
+    Stateless tasks with per-process cached state: this state (MinHash
+    permutations, compiled regexes) builds in ~1 ms, so tasks on
+    already-warm workers beat an actor pool's process spin-up.
     """
     config = config or PipelineConfig()
-    if config.feature_use_actors:
-        return ds.map_batches(
-            FeatureExtractor,
-            fn_constructor_args=(config,),
-            batch_format="pyarrow",
-            batch_size=config.batch_size,
-            concurrency=config.feature_concurrency,
-            num_cpus=1,
-        )
     return ds.map_batches(
         _extract_batch_factory(config),
         batch_format="pyarrow",

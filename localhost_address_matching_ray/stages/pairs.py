@@ -50,6 +50,7 @@ from localhost_address_matching_ray.functions.arrowbuf import (
     hex16_col_to_u64,
 )
 from localhost_address_matching_ray.functions.similarity import jaro_winkler
+from localhost_address_matching_ray.stages.broadcast import cached_get
 
 logger = logging.getLogger(__name__)
 
@@ -255,8 +256,9 @@ def candidate_pairs(blocks: ray.data.Dataset, config: PipelineConfig) -> ray.dat
     arising in key-family blocks that hash to different buckets) are scored
     redundantly — scoring is a vectorized byte compare, far cheaper than an
     extra all-to-all dedup shuffle of the full candidate stream — and
-    collapsed on the much smaller verified EDGE stream in
-    :func:`candidate_edges`."""
+    collapsed on the smaller verified EDGE stream in :func:`verify_edges`
+    (2.87 scored rows per distinct edge on the ``link_hot`` benchmark
+    corpus, seed 1)."""
     return blocks.groupby("bucket").map_groups(
         _candidate_pairs_factory(config), batch_format="pyarrow"
     )
@@ -264,11 +266,6 @@ def candidate_pairs(blocks: ray.data.Dataset, config: PipelineConfig) -> ray.dat
 
 def _slim_features(features: ray.data.Dataset) -> ray.data.Dataset:
     return features.select_columns(["row_id", "sig8", "stem"])
-
-
-#: per-worker-process cache of the current verify bundle (one entry, cleared
-#: on replacement — same policy as stages.cluster._PROCESS_MAPS)
-_PROCESS_BUNDLES: dict = {}
 
 
 def _scorer_factory(bundle_ref, config: PipelineConfig):
@@ -282,12 +279,7 @@ def _scorer_factory(bundle_ref, config: PipelineConfig):
     def score(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table(_EMPTY_SCORED)
-        key = bundle_ref.hex()
-        bundle = _PROCESS_BUNDLES.get(key)
-        if bundle is None:
-            _PROCESS_BUNDLES.clear()
-            bundle = _PROCESS_BUNDLES[key] = ray.get(bundle_ref)
-        ids, sigs, stems = bundle
+        ids, sigs, stems = cached_get(bundle_ref)
         pu = batch["pu"].to_numpy(zero_copy_only=False)
         pv = batch["pv"].to_numpy(zero_copy_only=False)
         # clamp + mask: a candidate id absent from the fetched bundle is
@@ -390,12 +382,7 @@ def _exact_scorer_factory(bundle_ref, config: PipelineConfig):
     def score(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table(_EMPTY_SCORED)
-        key = bundle_ref.hex()
-        bundle = _PROCESS_BUNDLES.get(key)
-        if bundle is None:
-            _PROCESS_BUNDLES.clear()
-            bundle = _PROCESS_BUNDLES[key] = ray.get(bundle_ref)
-        ids, offs, flat, stems = bundle
+        ids, offs, flat, stems = cached_get(bundle_ref)
         pu = batch["pu"].to_numpy(zero_copy_only=False)
         pv = batch["pv"].to_numpy(zero_copy_only=False)
         iu = np.minimum(np.searchsorted(ids, pu), len(ids) - 1)
@@ -825,11 +812,13 @@ def verify_edges(
     """Candidate pairs (uint64, cross-bucket duplicates allowed) →
     thresholded DISTINCT edges (u, v, score).
 
-    The candidate stream's cross-bucket duplicate factor is small (~1.35 at
-    the 1M soak: in-bucket dedup already collapsed the band-level copies),
-    so duplicates are scored REDUNDANTLY — the scoring kernel is a
-    vectorized byte compare and fully parallel — and dedup happens on the
-    verified EDGE stream, which is orders of magnitude smaller. The former
+    Cross-bucket duplicates are scored REDUNDANTLY — the scoring kernel is
+    a vectorized byte compare and fully parallel — and dedup happens on the
+    verified EDGE stream, which is smaller than the candidate stream. The
+    duplicate factor depends on the corpus: in-bucket dedup already
+    collapsed the band-level copies, yet on the ``link_hot`` benchmark
+    corpus (seed 1) 1,012,385 scored rows collapse to 353,301 distinct
+    edges, 2.87×. The former
     shape (driver collect + single-threaded np.argsort dedup of the raw
     pair stream) measured ~15 s of serial wall at the 1M soak — the single
     largest non-scaling term in the 4→16 CPU efficiency. Above the

@@ -590,6 +590,56 @@ def test_ann_topk_tie_break_by_vec_id_across_batch_cut():
     assert got == list(range(101, 101 + k))
 
 
+def _logical_map_ops(ds):
+    """Every map operator (map_batches, map_groups' map) in the logical
+    plan behind ``ds``."""
+    from ray.data._internal.logical.operators.map_operator import AbstractMap
+
+    ops, stack, seen = [], [ds._logical_plan.dag], set()
+    while stack:
+        op = stack.pop()
+        if id(op) in seen:
+            continue
+        seen.add(id(op))
+        if isinstance(op, AbstractMap):
+            ops.append(op)
+        stack.extend(op.input_dependencies)
+    return ops
+
+
+def test_ann_entry_points_plan_no_actor_pools():
+    """The ANN scorers hold only a few KB of broadcast state, so they run as
+    stateless tasks: no map operator in the plans of ann_topk, ivf_topk or
+    lsh_cosine_pairs is an actor pool (a pool starts and tears down actors
+    inside every query)."""
+    import numpy as np
+    import pyarrow.parquet as pq
+    from ray.data import ActorPoolStrategy
+
+    from localhost_address_matching_ray.stages.ann import (
+        ann_topk,
+        ivf_topk,
+        lsh_cosine_pairs,
+    )
+
+    t = pq.read_table("/root/testdata/sf0.001/embeddings.parquet",
+                      columns=["vec_id", "embedding"])
+    qt = t.slice(0, 5)
+    qids = qt["vec_id"].to_numpy(zero_copy_only=False)
+    qm = np.asarray(qt["embedding"].to_pylist(), dtype=np.float64)
+    emb = ray.data.from_arrow(t)
+    plans = {
+        "ann_topk": ann_topk(emb, qids, qm, k=5),
+        "ivf_topk": ivf_topk(emb, qids, qm, k=5),
+        "lsh_cosine_pairs": lsh_cosine_pairs(emb, 0.45, n_planes=4, n_tables=4),
+    }
+    for name, ds in plans.items():
+        ops = _logical_map_ops(ds)
+        assert ops, name
+        pools = [op.name for op in ops if isinstance(op._compute, ActorPoolStrategy)]
+        assert not pools, (name, pools)
+
+
 def _brute_bm25(texts, terms, k):
     """Independent BM25 (k1=1.2, b=0.75, log-free idf) over python lists."""
     toks = [t.split() for t in texts]
