@@ -9,12 +9,15 @@ generalized to source-code repository deduplication over a Parquet corpus
 Pipeline shape (SURVEY.md §7.0)::
 
     read_parquet(corpus)
-      → normalize           (stateless map_batches: path canonicalization,
-                             content whitespace-fold, content_sha256)
-      → features            (actor-pool map_batches: tokens, shingles, MinHash)
+      → normalize           (path canonicalization, content whitespace-fold,
+                             content_sha256)
+      → features            (tokens, shingles, MinHash; one stateless
+                             map_batches task per block, fused with normalize)
       → block               (composite keys lang ⊕ band ⊕ stem, salted hot keys)
-      → groupby(block_key).map_groups(pair + score)
-      → edges → union-find  (iterated groupby min-label propagation)
+      → groupby(bucket).map_groups(candidate pairs) → verify (score)
+      → edges → components  (vectorized union-find on the driver up to
+                             driver_cc_max_edges, distributed min-label
+                             propagation above it)
       → clusters → write_parquet  (+ manifest-validated checkpoints & metrics)
 
 Nothing here calls ``ray.init()``/``ray.shutdown()`` — sessions are owned by

@@ -19,8 +19,14 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from localhost_address_matching_ray.config import PipelineConfig
 from localhost_address_matching_ray.functions.similarity import duckdb_round
-from localhost_address_matching_ray.stages.broadcast import cached_get
+from localhost_address_matching_ray.stages.broadcast import (
+    cached_get,
+    fetch_sorted,
+    involved_ids,
+)
+from localhost_address_matching_ray.stages.pairs import distinct_pairs
 
 
 def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -359,48 +365,6 @@ def _hyperplane_keyer_factory(planes_ref, n_buckets: int):
     return key_batch
 
 
-def _dedup_pairs_max_score(raw: ray.data.Dataset, buckets: int | None = None) -> ray.data.Dataset:
-    """Distinct (u, v) keeping the MAX score — the pair-hash bucket idiom
-    (``pairs.py:393-421``) instead of a high-cardinality
-    ``groupby(["u","v"])`` (Ray's per-key groupby floor). Bucket width is
-    cluster-relative (``config.bucket_width``), resolved here on the driver
-    and captured in the tag closure."""
-    from localhost_address_matching_ray.config import bucket_width
-
-    buckets = buckets or bucket_width()
-
-    def tag(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("pb", pa.array([], pa.int32()))
-        u = t["u"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = t["v"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pb = ((u * _LSH_P1 ^ v * _LSH_P3) % np.uint64(buckets)).astype(np.int32)
-        return t.append_column("pb", pa.array(pb, pa.int32()))
-
-    def dedup(g: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "u": pa.array([], pa.int64()), "v": pa.array([], pa.int64()),
-            "score": pa.array([], pa.float64()),
-        })
-        if g.num_rows == 0:
-            return empty
-        u = g["u"].to_numpy(zero_copy_only=False)
-        v = g["v"].to_numpy(zero_copy_only=False)
-        s = g["score"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((-s, v, u))  # (u, v) asc, score desc
-        u, v, s = u[order], v[order], s[order]
-        keep = np.concatenate(([True], (u[1:] != u[:-1]) | (v[1:] != v[:-1])))
-        return pa.table({
-            "u": pa.array(u[keep], pa.int64()),
-            "v": pa.array(v[keep], pa.int64()),
-            "score": pa.array(s[keep], pa.float64()),
-        })
-
-    return raw.map_batches(tag, batch_format="pyarrow").groupby("pb").map_groups(
-        dedup, batch_format="pyarrow"
-    )
-
-
 #: lsh_cosine_pairs broadcasts the (sorted ids, float32 matrix) bundle once
 #: via ray.put; above this row count the broadcast no longer fits a worker
 #: heap and IVF is the right structure anyway.
@@ -453,13 +417,9 @@ def lsh_cosine_pairs(
             f"{n_rows} rows (cap {cap}); use ivf_cosine_pairs (per-cell "
             f"structure, no global broadcast) at this scale."
         )
-    full = pa.concat_tables(
-        [t for t in ray.get(emb.to_arrow_refs()) if t.num_rows > 0]
-    )
-    ids_all = full["vec_id"].to_numpy(zero_copy_only=False)
-    order = np.argsort(ids_all)
-    mat = _emb_matrix(full).astype(np.float32)[order]
-    bundle_ref = ray.put((ids_all[order], mat))
+    ids_s, full = fetch_sorted(emb, None, _vec_ids)
+    mat = _emb_matrix(full).astype(np.float32)
+    bundle_ref = ray.put((ids_s, mat))
     dim = mat.shape[1]
 
     planes_ref = ray.put(
@@ -530,7 +490,8 @@ def lsh_cosine_pairs(
         })
 
     raw = keyed.groupby("bucket").map_groups(verify_bucket, batch_format="pyarrow")
-    return _dedup_pairs_max_score(raw)
+    # scores of one pair from different tables can differ in the last ulp
+    return distinct_pairs(raw, bucket_width(), keep_max="score")
 
 
 def _centroid_sample(embeddings: ray.data.Dataset, sample_cap: int) -> pa.Table:
@@ -604,7 +565,7 @@ def ivf_cosine_pairs(
     n_probe: int = 4,
     sample_cap: int = 8192,
     seed: int = 211,
-    verify_broadcast_max_rows: int | None = None,
+    verify_broadcast_max_rows: int = PipelineConfig.verify_broadcast_max_rows,
 ) -> ray.data.Dataset:
     """IVF-bucketed cosine near-dup pairs — the scale structure for LOW
     thresholds, where hyperplane LSH degenerates (a plane agrees on a
@@ -628,8 +589,8 @@ def ivf_cosine_pairs(
     3. **verify** — vectors are fetched for ONLY the rows that appear in a
        candidate pair: one filtered pass over the embeddings builds a
        (sorted ids, float32 matrix) broadcast bundle below
-       ``verify_broadcast_max_rows`` involved rows (default
-       ``IVF_VERIFY_BROADCAST_MAX_ROWS``); above it the same scoring runs
+       ``verify_broadcast_max_rows`` involved rows (the flagship's
+       default); above it the same scoring runs
        as two partitioned hash joins on vectorized fixed-size-binary
        vectors (each vector ships once per pair occurrence — stated,
        logged). Scores are the exact rounded float64 cosine of the
@@ -641,6 +602,8 @@ def ivf_cosine_pairs(
     moderate thresholds; brute cross-check in tests), exact precision.
     """
     import logging
+
+    from localhost_address_matching_ray.config import bucket_width
 
     logger = logging.getLogger(__name__)
     slim = embeddings.select_columns(["vec_id", "embedding"]).materialize()
@@ -683,108 +646,48 @@ def ivf_cosine_pairs(
     raw_pairs = assigned.groupby("cell").map_groups(
         cell_pairs, batch_format="pyarrow"
     )
-    pairs = _distinct_pairs_keyonly(raw_pairs).materialize()
-    involved = _involved_vec_ids(pairs)
-    cap = (
-        IVF_VERIFY_BROADCAST_MAX_ROWS
-        if verify_broadcast_max_rows is None else verify_broadcast_max_rows
-    )
+    pairs = distinct_pairs(raw_pairs, bucket_width()).materialize()
+    involved = involved_ids(pairs)
     if len(involved) == 0:
         return _empty_pairs()
-    if len(involved) <= cap:
-        return _score_pairs_broadcast(pairs, slim, involved, threshold, dim)
+    if len(involved) <= verify_broadcast_max_rows:
+        return _score_pairs_broadcast(pairs, slim, involved, threshold)
     logger.info(
         "ivf_cosine_pairs: %d involved rows > broadcast ceiling %d — "
-        "partitioned-join scoring", len(involved), cap,
+        "partitioned-join scoring", len(involved), verify_broadcast_max_rows,
     )
     return _score_pairs_join(pairs, slim, threshold, dim)
 
 
-def _distinct_pairs_keyonly(
-    raw: ray.data.Dataset, buckets: int | None = None
-) -> ray.data.Dataset:
-    """Distinct (u, v) over a key-only pair stream — the pair-hash bucket
-    idiom without a score column."""
-    from localhost_address_matching_ray.config import bucket_width
-
-    nb = np.uint64(buckets or bucket_width())
-
-    def tag(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("pb", pa.array([], pa.int32()))
-        u = t["u"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = t["v"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pb = ((u * _LSH_P1 ^ v * _LSH_P3) % nb).astype(np.int32)
-        return t.append_column("pb", pa.array(pb, pa.int32()))
-
-    def dedup(g: pa.Table) -> pa.Table:
-        u = g["u"].to_numpy(zero_copy_only=False)
-        v = g["v"].to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table({
-                "u": pa.array([], pa.int64()), "v": pa.array([], pa.int64()),
-            })
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        keep = np.concatenate(([True], (u[1:] != u[:-1]) | (v[1:] != v[:-1])))
-        return pa.table({
-            "u": pa.array(u[keep], pa.int64()),
-            "v": pa.array(v[keep], pa.int64()),
-        })
-
-    return raw.map_batches(tag, batch_format="pyarrow").groupby("pb").map_groups(
-        dedup, batch_format="pyarrow"
-    )
+def _vec_ids(t: pa.Table) -> np.ndarray:
+    return t["vec_id"].to_numpy(zero_copy_only=False)
 
 
-def _involved_vec_ids(pairs: ray.data.Dataset) -> np.ndarray:
-    """Sorted unique int64 vec_ids appearing in any candidate pair — one
-    per-batch unique pass, then a driver-side merge (ids only, 8 B each)."""
-
-    def uniq(t: pa.Table) -> pa.Table:
-        ids = np.unique(np.concatenate((
-            t["u"].to_numpy(zero_copy_only=False),
-            t["v"].to_numpy(zero_copy_only=False),
-        ))) if t.num_rows else np.empty(0, np.int64)
-        return pa.table({"id": pa.array(ids, pa.int64())})
-
-    tbls = [
-        t for t in ray.get(
-            pairs.map_batches(uniq, batch_format="pyarrow").to_arrow_refs()
-        ) if t.num_rows
-    ]
-    if not tbls:
-        return np.empty(0, np.int64)
-    return np.unique(
-        pa.concat_tables(tbls)["id"].to_numpy(zero_copy_only=False)
-    )
+def _pair_cosine(u, v, mu: np.ndarray, mv: np.ndarray, threshold: float) -> pa.Table:
+    """Rows ``mu[i]``, ``mv[i]`` (float32, as broadcast or joined) → the
+    (u, v, score) pairs whose rounded float64 cosine meets ``threshold``."""
+    mu, mv = mu.astype(np.float64), mv.astype(np.float64)
+    dots = (mu * mv).sum(axis=1)
+    nu = np.sqrt((mu * mu).sum(axis=1))
+    nv = np.sqrt((mv * mv).sum(axis=1))
+    s = duckdb_round(dots / (nu * nv), 6)
+    keep = (s >= threshold) & (u != v)
+    return pa.table({
+        "u": pa.array(u[keep], pa.int64()),
+        "v": pa.array(v[keep], pa.int64()),
+        "score": pa.array(s[keep], pa.float64()),
+    })
 
 
 def _score_pairs_broadcast(
     pairs: ray.data.Dataset, slim: ray.data.Dataset, involved: np.ndarray,
-    threshold: float, dim: int,
+    threshold: float,
 ) -> ray.data.Dataset:
     """Exact rounded-cosine scoring of a key-only pair stream against a
     broadcast (sorted ids, float32 matrix) bundle of ONLY the involved
     rows."""
-    inv_ref = ray.put(involved)
-
-    def fetch(t: pa.Table) -> pa.Table:
-        inv = cached_get(inv_ref)
-        ids = t["vec_id"].to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(inv, ids), len(inv) - 1)
-        return t.filter(pa.array(inv[pos] == ids))
-
-    tbl = pa.concat_tables([
-        t for t in ray.get(
-            slim.map_batches(fetch, batch_format="pyarrow").to_arrow_refs()
-        ) if t.num_rows
-    ])
-    ids_all = tbl["vec_id"].to_numpy(zero_copy_only=False)
-    order = np.argsort(ids_all)
-    bundle_ref = ray.put(
-        (ids_all[order], _emb_matrix(tbl).astype(np.float32)[order])
-    )
+    ids_s, tbl = fetch_sorted(slim, involved, _vec_ids)
+    bundle_ref = ray.put((ids_s, _emb_matrix(tbl).astype(np.float32)))
 
     def score(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -792,18 +695,10 @@ def _score_pairs_broadcast(
         ids_s, m32 = cached_get(bundle_ref)
         u = t["u"].to_numpy(zero_copy_only=False)
         v = t["v"].to_numpy(zero_copy_only=False)
-        mu = m32[np.searchsorted(ids_s, u)].astype(np.float64)
-        mv = m32[np.searchsorted(ids_s, v)].astype(np.float64)
-        dots = (mu * mv).sum(axis=1)
-        nu = np.sqrt((mu * mu).sum(axis=1))
-        nv = np.sqrt((mv * mv).sum(axis=1))
-        s = duckdb_round(dots / (nu * nv), 6)
-        keep = (s >= threshold) & (u != v)
-        return pa.table({
-            "u": pa.array(u[keep], pa.int64()),
-            "v": pa.array(v[keep], pa.int64()),
-            "score": pa.array(s[keep], pa.float64()),
-        })
+        return _pair_cosine(
+            u, v, m32[np.searchsorted(ids_s, u)], m32[np.searchsorted(ids_s, v)],
+            threshold,
+        )
 
     return pairs.map_batches(score, batch_format="pyarrow")
 
@@ -856,28 +751,14 @@ def _score_pairs_join(
     def score(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.table(dict(_EMPTY_PAIR_COLS))
-        u = t["u"].to_numpy(zero_copy_only=False)
-        v = t["v"].to_numpy(zero_copy_only=False)
-        mu = _fsb_to_mat(t["uvec"], dim).astype(np.float64)
-        mv = _fsb_to_mat(t["vec"], dim).astype(np.float64)
-        dots = (mu * mv).sum(axis=1)
-        nu = np.sqrt((mu * mu).sum(axis=1))
-        nv = np.sqrt((mv * mv).sum(axis=1))
-        s = duckdb_round(dots / (nu * nv), 6)
-        keep = (s >= threshold) & (u != v)
-        return pa.table({
-            "u": pa.array(u[keep], pa.int64()),
-            "v": pa.array(v[keep], pa.int64()),
-            "score": pa.array(s[keep], pa.float64()),
-        })
+        return _pair_cosine(
+            t["u"].to_numpy(zero_copy_only=False),
+            t["v"].to_numpy(zero_copy_only=False),
+            _fsb_to_mat(t["uvec"], dim), _fsb_to_mat(t["vec"], dim), threshold,
+        )
 
     return jv.map_batches(score, batch_format="pyarrow")
 
-
-#: ivf verify broadcasts (sorted involved ids, float32 matrix); above this
-#: involved-row count the bundle no longer fits a worker heap and scoring
-#: falls back to partitioned joins over fixed-size-binary vectors.
-IVF_VERIFY_BROADCAST_MAX_ROWS = 2_000_000
 
 _EMPTY_PAIR_COLS = {
     "u": pa.array([], pa.int64()),

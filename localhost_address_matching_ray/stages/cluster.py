@@ -33,34 +33,16 @@ import ray
 import ray.data
 from ray.data.aggregate import Max, Min
 
+from localhost_address_matching_ray.functions.arrowbuf import (
+    hex16_col_to_u64,
+    s16_to_arrow,
+    sbytes_to_arrow,
+    u64_to_hex16,
+)
 from localhost_address_matching_ray.stages.broadcast import cached_get
 
 logger = logging.getLogger(__name__)
 
-
-def _hex16_to_u64(ids: list[str]) -> "np.ndarray | None":
-    """Vectorized 16-hex-char row_id → uint64 (None if any id doesn't fit).
-    ``bytes.fromhex`` over the joined string is C-speed; the big-endian view
-    preserves lexicographic order, so sorted-u64 == sorted-hex."""
-    import numpy as np
-
-    try:
-        buf = bytes.fromhex("".join(ids))
-    except ValueError:
-        return None
-    if len(buf) != 8 * len(ids):
-        return None
-    return np.frombuffer(buf, dtype=">u8").astype(np.uint64)
-
-
-def _hex16_col_to_u64(col: pa.ChunkedArray) -> "np.ndarray | None":
-    """Arrow string column of 16-hex-char ids → uint64, straight from the
-    value buffer (no per-element to_pylist) — ~10x the list path on
-    millions of edges. None if any value isn't exactly 16 hex chars.
-    (Shared buffer-bridge implementation in functions/arrowbuf.py.)"""
-    from localhost_address_matching_ray.functions.arrowbuf import hex16_col_to_u64
-
-    return hex16_col_to_u64(col)
 
 #: Join aggregator actors must not starve the pool: fractional CPUs, and the
 #: partition count stays well under the session's CPU count.
@@ -102,37 +84,6 @@ def _empty_clusters() -> ray.data.Dataset:
     }))
 
 
-def _u64_to_hex16(vals: "np.ndarray") -> "np.ndarray":
-    """uint64 array → numpy S16 of 16-hex zero-padded strings via one
-    hexlify over the big-endian buffer (no per-value format())."""
-    import binascii
-
-    import numpy as np
-
-    return np.frombuffer(
-        binascii.hexlify(vals.astype(">u8").tobytes()), dtype="S16"
-    )
-
-
-def _sbytes_to_arrow(vals: "np.ndarray", width: int) -> pa.Array:
-    """numpy S{width} array → Arrow string array by handing Arrow the raw
-    ASCII value buffer + an arange offsets buffer — no per-value decode (the
-    np.char.decode + pa.array(U…) route measured ~1 s at 1.6M values)."""
-    import numpy as np
-
-    n = len(vals)
-    return pa.Array.from_buffers(
-        pa.string(), n,
-        [None,
-         pa.py_buffer(np.arange(0, width * (n + 1), width, dtype=np.int32)),
-         pa.py_buffer(np.ascontiguousarray(vals).tobytes())],
-    )
-
-
-def _s16_to_arrow(hexs: "np.ndarray") -> pa.Array:
-    return _sbytes_to_arrow(hexs, 16)
-
-
 def _min_label_components(ui: "np.ndarray", vi: "np.ndarray", n_ids: int) -> "np.ndarray":
     """Vectorized min-label propagation with pointer jumping over index
     arrays — converges in O(log diameter) numpy passes. Returns lab[i] =
@@ -171,21 +122,21 @@ def _contract_edge_blocks(edges: ray.data.Dataset) -> ray.data.Dataset:
     def contract(t: pa.Table) -> pa.Table:
         if t.num_rows < 2:
             return t.select(["u", "v"])
-        uk = _hex16_col_to_u64(t["u"])
-        vk = _hex16_col_to_u64(t["v"]) if uk is not None else None
+        uk = hex16_col_to_u64(t["u"])
+        vk = hex16_col_to_u64(t["v"]) if uk is not None else None
         if uk is None or vk is None:
             return t.select(["u", "v"])
         n = len(uk)
         all_ids, inv = np.unique(np.concatenate([uk, vk]), return_inverse=True)
         lab = _min_label_components(inv[:n], inv[n:], len(all_ids))
         keep = lab != np.arange(len(all_ids))
-        hexs = _u64_to_hex16(all_ids)
+        hexs = u64_to_hex16(all_ids)
         # buffer-built strings: this path only runs above driver_cc_max_edges
         # (30M), where np.char.decode's per-value cost (~1 s / 1.6M values)
         # would eat the contraction's whole margin
         return pa.table({
-            "u": _s16_to_arrow(hexs[lab[keep]]),
-            "v": _s16_to_arrow(hexs[keep]),
+            "u": s16_to_arrow(hexs[lab[keep]]),
+            "v": s16_to_arrow(hexs[keep]),
         })
 
     # whole-block batches: contraction quality grows with batch size
@@ -208,8 +159,8 @@ def _driver_union_find(edges: ray.data.Dataset) -> ray.data.Dataset:
     tbl = _collect(
         edges, pa.schema([("u", pa.string()), ("v", pa.string())])
     ).combine_chunks()
-    uk = _hex16_col_to_u64(tbl["u"])
-    vk = _hex16_col_to_u64(tbl["v"]) if uk is not None else None
+    uk = hex16_col_to_u64(tbl["u"])
+    vk = hex16_col_to_u64(tbl["v"]) if uk is not None else None
     if uk is not None and vk is not None:
         import pandas as pd
 
@@ -224,10 +175,10 @@ def _driver_union_find(edges: ray.data.Dataset) -> ray.data.Dataset:
         all_ids = uniq[order]
         inv = rank[codes]
         lab = _min_label_components(inv[:n], inv[n:], len(all_ids))
-        hexs = _u64_to_hex16(all_ids)  # one hexlify, no per-node format()
+        hexs = u64_to_hex16(all_ids)  # one hexlify, no per-node format()
         return ray.data.from_arrow(pa.table({
-            "row_id": _s16_to_arrow(hexs),
-            "cluster_label": _s16_to_arrow(np.ascontiguousarray(hexs[lab])),
+            "row_id": s16_to_arrow(hexs),
+            "cluster_label": s16_to_arrow(np.ascontiguousarray(hexs[lab])),
         }))
     u = tbl["u"].to_pylist()
     v = tbl["v"].to_pylist()
@@ -407,8 +358,8 @@ def _assign_broadcast_u64(
     when ids aren't 16-hex / shas aren't width-64 (dict fallback)."""
     import numpy as np
 
-    mku = _hex16_col_to_u64(comp_tbl["row_id"])
-    labu = _hex16_col_to_u64(comp_tbl["cluster_label"])
+    mku = hex16_col_to_u64(comp_tbl["row_id"])
+    labu = hex16_col_to_u64(comp_tbl["cluster_label"])
     if mku is None or labu is None:
         return None
     order = np.argsort(mku)
@@ -417,7 +368,7 @@ def _assign_broadcast_u64(
 
     def pick_members(t: pa.Table) -> pa.Table:
         keys = cached_get(member_ref)
-        qk = _hex16_col_to_u64(t["row_id"])
+        qk = hex16_col_to_u64(t["row_id"])
         if qk is None:
             raise ValueError("mixed non-hex row_ids in a hex-id pipeline")
         pos = np.minimum(np.searchsorted(keys, qk), len(keys) - 1)
@@ -427,7 +378,7 @@ def _assign_broadcast_u64(
         slim.map_batches(pick_members, batch_format="pyarrow"),
         pa.schema([("row_id", pa.string()), ("content_sha256", pa.string())]),
     ).combine_chunks()
-    mids = _hex16_col_to_u64(members["row_id"])
+    mids = hex16_col_to_u64(members["row_id"])
     shas = _fixed_width_bytes(members["content_sha256"], 64)
     if mids is None or shas is None or len(mids) == 0:
         return None
@@ -457,7 +408,7 @@ def _assign_broadcast_u64(
 
     def resolve(t: pa.Table) -> pa.Table:
         keys, vals = cached_get(maps_ref)
-        qk = _hex16_col_to_u64(t["row_id"])
+        qk = hex16_col_to_u64(t["row_id"])
         if qk is None:
             raise ValueError("mixed non-hex row_ids in a hex-id pipeline")
         pos = np.minimum(np.searchsorted(keys, qk), len(keys) - 1)
@@ -466,7 +417,7 @@ def _assign_broadcast_u64(
         if fixed is not None:  # zero-copy in, buffer-built Arrow out
             out = fixed.copy()
             out[hit] = vals[pos[hit]]
-            cluster_id = _sbytes_to_arrow(out, 64)
+            cluster_id = sbytes_to_arrow(out, 64)
         else:
             # non-uniform sha widths (the reason `fixed` is None): an S64
             # cast would silently TRUNCATE longer values into corrupt
@@ -528,7 +479,7 @@ def assign_clusters(
         import numpy as np
 
         member_ids = list(label_of.keys())
-        mku = _hex16_to_u64(member_ids)
+        mku = hex16_col_to_u64(pa.array(member_ids, pa.string()))
         if mku is not None:
             label_ref = ray.put({"u64": np.sort(mku)})
         else:  # non-hex row_ids: plain set fallback
@@ -539,7 +490,7 @@ def assign_clusters(
 
             lk = cached_get(label_ref)
             rids = t["row_id"].to_pylist()
-            qk = _hex16_to_u64(rids) if "u64" in lk else None
+            qk = hex16_col_to_u64(t["row_id"]) if "u64" in lk else None
             if qk is not None:
                 keys = lk["u64"]
                 pos = np.minimum(np.searchsorted(keys, qk), len(keys) - 1)
@@ -569,7 +520,7 @@ def assign_clusters(
         # observed 40 s at 1.5M rows) and lookup is one searchsorted per batch
         # instead of a per-row dict loop.
         resolved = {rid: canon[lab] for rid, lab in label_of.items()}
-        rku = _hex16_to_u64(list(resolved.keys()))
+        rku = hex16_col_to_u64(pa.array(list(resolved.keys()), pa.string()))
         if rku is not None:
             order = np.argsort(rku)
             maps_ref = ray.put({
@@ -585,7 +536,7 @@ def assign_clusters(
             m = cached_get(maps_ref)
             rids = t["row_id"].to_pylist()
             shas = t["content_sha256"].to_pylist()
-            qk = _hex16_to_u64(rids) if "u64" in m else None
+            qk = hex16_col_to_u64(t["row_id"]) if "u64" in m else None
             if qk is not None:
                 keys, vals = m["u64"], m["vals"]
                 pos = np.minimum(np.searchsorted(keys, qk), len(keys) - 1)

@@ -21,6 +21,11 @@ import ray.data
 
 logger = logging.getLogger(__name__)
 
+from localhost_address_matching_ray.functions.arrowbuf import (
+    hex16_ids,
+    s16_to_arrow,
+    u64_to_hex16,
+)
 from localhost_address_matching_ray.functions.hashing import (
     MinHasher,
     SimHasher,
@@ -32,8 +37,14 @@ from localhost_address_matching_ray.functions.hashing import (
 from localhost_address_matching_ray.functions.normalize import normalize_content
 from localhost_address_matching_ray.functions.similarity import duckdb_round
 from localhost_address_matching_ray.functions.text import quality_features
-from localhost_address_matching_ray.stages.broadcast import cached_get
-from localhost_address_matching_ray.stages.pairs import _unique_pairs
+from localhost_address_matching_ray.stages.broadcast import cached_get, fetch_sorted
+from localhost_address_matching_ray.stages.pairs import (
+    _binary_u64_parts,
+    _intersection_counts,
+    _tok_list_to_binary,
+    _unique_pairs,
+    distinct_pairs,
+)
 
 
 def doc_quality(docs: ray.data.Dataset) -> ray.data.Dataset:
@@ -415,7 +426,6 @@ def minhash_lsh_pairs(
     bands: int = 64,
     shingle_k: int = 3,
     threshold: float = 0.5,
-    concurrency: int | None = None,
     max_candidates: int = 5_000_000,
     minhash_mode: str = "oph",
 ) -> ray.data.Dataset:
@@ -458,10 +468,7 @@ def minhash_lsh_pairs(
             f"partition the corpus before pairing."
         )
 
-    involved = np.unique(pairs)
-    inv_ref = ray.put(np.sort(involved))
-
-    def fetch_shingles(batch: pa.Table) -> pa.Table:
+    def shingle_sets(batch: pa.Table) -> pa.Table:
         """Sorted-unique uint64 shingle hashes for candidate docs only.
 
         Hash-verify: the shingle→uint64 map (token-hash polynomial,
@@ -471,11 +478,6 @@ def minhash_lsh_pairs(
         dict-of-string-sets (round-2 verify shipped Python string sets and
         looped per pair). A collision would perturb one pair's Jaccard by
         ~1/|union| with probability ~|shingles|²/2⁶⁴ — negligible."""
-        keys = ray.get(inv_ref)
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
-        mask = keys[pos] == ids
-        batch = batch.filter(pa.array(mask))
         th = TokenHasher()
         sh = [
             np.unique(shingle_hashes(normalize_content(t).split(" "), shingle_k, th))
@@ -487,81 +489,40 @@ def minhash_lsh_pairs(
             "shingles": pa.array([s.tolist() for s in sh], pa.list_(pa.uint64())),
         })
 
-    sh_tbls = [
-        t for t in ray.get(
-            docs.select_columns(["doc_id", "text"]).map_batches(
-                fetch_shingles, batch_format="pyarrow", batch_size=2048
-            ).to_arrow_refs()
-        )
-        if t.num_rows > 0
-    ]
-    # assemble (sorted doc ids, offsets, flat sorted-unique hashes) — numpy
-    # arrays ride plasma zero-copy, unlike a pickled dict of Python sets
-    id_parts, len_parts, val_parts = [], [], []
-    for t in sh_tbls:
-        col = t["shingles"].combine_chunks()
-        offs = col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        id_parts.append(t["doc_id"].to_numpy(zero_copy_only=False))
-        len_parts.append(np.diff(offs))
-        val_parts.append(col.values.to_numpy(zero_copy_only=False).astype(np.uint64))
-    if not id_parts:
-        return ray.data.from_arrow(empty)
-    all_ids = np.concatenate(id_parts)
-    all_lens = np.concatenate(len_parts)
-    all_vals = np.concatenate(val_parts) if val_parts else np.empty(0, np.uint64)
-    starts = np.concatenate(([0], np.cumsum(all_lens)[:-1]))
-    order = np.argsort(all_ids)
-    lens_s = all_lens[order]
-    out_starts = np.concatenate(([0], np.cumsum(lens_s)[:-1]))
-    gather = np.repeat(starts[order] - out_starts, lens_s) + np.arange(
-        int(lens_s.sum()), dtype=np.int64
+    got = fetch_sorted(
+        docs.select_columns(["doc_id", "text"]), np.unique(pairs),
+        lambda t: t["doc_id"].to_numpy(zero_copy_only=False), prep=shingle_sets,
     )
-    sh_ref = ray.put((
-        all_ids[order],
-        np.concatenate((out_starts, [int(lens_s.sum())])).astype(np.int64),
-        all_vals[gather],
-    ))
+    if got is None:
+        return ray.data.from_arrow(empty)
+    ids, tbl = got
+    # numpy ids + one packed binary column ride plasma zero-copy, unlike a
+    # pickled dict of Python sets
+    packed = _tok_list_to_binary(tbl["shingles"])
+    sh_ref = ray.put((ids, packed, np.diff(_binary_u64_parts(packed)[0])))
     pairs_ds = ray.data.from_arrow(pa.table({
         "u": pa.array(pairs[:, 0], pa.int64()),
         "v": pa.array(pairs[:, 1], pa.int64()),
     }))
 
     def verify(batch: pa.Table) -> pa.Table:
-        """Exact set Jaccard per candidate pair, fully vectorized: both
-        sides' hash arrays are gathered into one (pair, value) stream;
-        after a lexsort, adjacent equal values within a pair count the
-        intersection (each doc's hashes are unique, so a value appears at
-        most twice per pair). No per-pair Python."""
-        ids, offs, flat = cached_get(sh_ref)
+        """Exact set Jaccard per candidate pair, fully vectorized
+        (:func:`~localhost_address_matching_ray.stages.pairs._intersection_counts`).
+        No per-pair Python."""
+        ids, packed, lens = cached_get(sh_ref)
         u = batch["u"].to_numpy(zero_copy_only=False)
         v = batch["v"].to_numpy(zero_copy_only=False)
         iu = np.minimum(np.searchsorted(ids, u), len(ids) - 1)
         iv = np.minimum(np.searchsorted(ids, v), len(ids) - 1)
-        lu = offs[iu + 1] - offs[iu]
-        lv = offs[iv + 1] - offs[iv]
         # drop misses and shingle-less docs (oracle excludes them)
-        ok = (ids[iu] == u) & (ids[iv] == v) & (lu > 0) & (lv > 0)
-        u, v, iu, iv, lu, lv = u[ok], v[ok], iu[ok], iv[ok], lu[ok], lv[ok]
-        n_pairs = len(u)
-        if n_pairs == 0:
+        ok = (ids[iu] == u) & (ids[iv] == v) & (lens[iu] > 0) & (lens[iv] > 0)
+        u, v, iu, iv = u[ok], v[ok], iu[ok], iv[ok]
+        if len(u) == 0:
             return empty
-
-        def gather_side(ii: np.ndarray, ll: np.ndarray) -> np.ndarray:
-            tot = int(ll.sum())
-            outs = np.concatenate(([0], np.cumsum(ll)[:-1]))
-            return flat[
-                np.repeat(offs[ii] - outs, ll) + np.arange(tot, dtype=np.int64)
-            ]
-
-        seg = np.concatenate((np.repeat(np.arange(n_pairs), lu),
-                              np.repeat(np.arange(n_pairs), lv)))
-        val = np.concatenate((gather_side(iu, lu), gather_side(iv, lv)))
-        o = np.lexsort((val, seg))
-        seg, val = seg[o], val[o]
-        dup = (seg[1:] == seg[:-1]) & (val[1:] == val[:-1])
-        inter = np.bincount(seg[1:][dup], minlength=n_pairs)
-        union = lu + lv - inter
-        jac = inter / union
+        inter, lu, lv = _intersection_counts(
+            packed.take(pa.array(iu)), packed.take(pa.array(iv))
+        )
+        jac = inter / (lu + lv - inter)
         keep = np.flatnonzero(jac >= threshold)
         return pa.table({
             "u": pa.array(u[keep], pa.int64()),
@@ -599,37 +560,6 @@ def near_dedup_keep(
     return keep_representatives(docs, pairs, id_col="doc_id")
 
 
-def _i64_col_to_hex16(col: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """Non-negative int64 column → 16-hex zero-padded strings, one
-    ``hexlify`` over the whole buffer instead of a per-row ``format``."""
-    import binascii
-
-    ids = np.asarray(
-        col.to_numpy(zero_copy_only=False) if hasattr(col, "to_numpy") else col,
-        dtype=np.int64,
-    )
-    hexs = np.frombuffer(
-        binascii.hexlify(ids.astype(">u8").tobytes()), dtype="S16"
-    )
-    # buffer handoff, not np.char.decode: this runs per batch over the full
-    # pair/edge stream feeding connected components
-    from localhost_address_matching_ray.stages.cluster import _s16_to_arrow
-
-    return _s16_to_arrow(hexs)
-
-
-def _hex16_col_to_i64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """16-hex string column → int64 array via the zero-copy u64 buffer view
-    (Python-loop fallback for non-16-hex values)."""
-    from localhost_address_matching_ray.stages.cluster import _hex16_col_to_u64
-
-    u = _hex16_col_to_u64(col)
-    if u is not None:
-        return u.astype(np.int64)
-    vals = col.to_pylist() if hasattr(col, "to_pylist") else list(col)
-    return np.array([int(x, 16) for x in vals], dtype=np.int64)
-
-
 def keep_representatives(
     items: ray.data.Dataset, pairs: ray.data.Dataset, id_col: str,
     components_collect_max: int = 5_000_000,
@@ -655,8 +585,8 @@ def keep_representatives(
         # 16-hex zero-padded ids preserve int order, unlocking the CC
         # stage's vectorized u64 fast path
         return pa.table({
-            "u": _i64_col_to_hex16(batch["u"]),
-            "v": _i64_col_to_hex16(batch["v"]),
+            "u": s16_to_arrow(u64_to_hex16(batch["u"].to_numpy(zero_copy_only=False))),
+            "v": s16_to_arrow(u64_to_hex16(batch["v"].to_numpy(zero_copy_only=False))),
         })
 
     comps = connected_components(
@@ -672,8 +602,8 @@ def keep_representatives(
     comp_tbl = _collect(
         comps, pa.schema([("row_id", pa.string()), ("cluster_label", pa.string())])
     )
-    nodes = _hex16_col_to_i64(comp_tbl["row_id"])
-    labels = _hex16_col_to_i64(comp_tbl["cluster_label"])
+    nodes = hex16_ids(comp_tbl["row_id"]).astype(np.int64)
+    labels = hex16_ids(comp_tbl["cluster_label"]).astype(np.int64)
     dropped = np.sort(nodes[nodes != labels])
     reps, counts = np.unique(labels, return_counts=True)  # sorted by construction
     drop_ref = ray.put(dropped)
@@ -719,8 +649,8 @@ def _keep_representatives_join(
 
     def to_int(t: pa.Table) -> pa.Table:
         return pa.table({
-            "node": pa.array(_hex16_col_to_i64(t["row_id"]), pa.int64()),
-            "label": pa.array(_hex16_col_to_i64(t["cluster_label"]), pa.int64()),
+            "node": pa.array(hex16_ids(t["row_id"]).astype(np.int64), pa.int64()),
+            "label": pa.array(hex16_ids(t["cluster_label"]).astype(np.int64), pa.int64()),
         })
 
     comp_int = comps.map_batches(to_int, batch_format="pyarrow").materialize()
@@ -854,8 +784,7 @@ def _simhash_run_pairs(
 
 
 def simhash_pairs(
-    docs: ray.data.Dataset, max_hamming: int = 6, concurrency: int | None = None,
-    max_block_rows: int = 8192,
+    docs: ray.data.Dataset, max_hamming: int = 6, max_block_rows: int = 8192,
 ) -> ray.data.Dataset:
     """SimHash near-dup pairs via Hamming-LSH pigeonhole blocking.
 
@@ -986,42 +915,8 @@ def simhash_pairs(
     raw = keyed.groupby("bucket").map_groups(verify_bucket, batch_format="pyarrow")
 
     # cross-bucket dedup (a pair can match via blocks landing in different
-    # 64-way buckets): bucketed unique on hash(u,v) — no high-cardinality
-    # groupby
-    def tag(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("pb", pa.array([], pa.int32()))
-        u = t["u"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = t["v"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pb = ((u * _SH_MIX1 ^ v * _SH_MIX2) % nb).astype(np.int32)
-        return t.append_column("pb", pa.array(pb, pa.int32()))
-
-    def dedup(g: pa.Table) -> pa.Table:
-        arr = np.stack([
-            g["u"].to_numpy(zero_copy_only=False),
-            g["v"].to_numpy(zero_copy_only=False),
-            g["hamming"].to_numpy(zero_copy_only=False),
-        ], axis=1)
-        if len(arr) == 0:
-            return pa.table({
-                "u": pa.array([], pa.int64()), "v": pa.array([], pa.int64()),
-                "hamming": pa.array([], pa.int64()),
-            })
-        order = np.lexsort((arr[:, 1], arr[:, 0]))
-        arr = arr[order]
-        keep = np.concatenate(
-            ([True], (arr[1:, :2] != arr[:-1, :2]).any(axis=1))
-        ) if len(arr) > 1 else np.array([True])
-        arr = arr[keep]
-        return pa.table({
-            "u": pa.array(arr[:, 0], pa.int64()),
-            "v": pa.array(arr[:, 1], pa.int64()),
-            "hamming": pa.array(arr[:, 2], pa.int64()),
-        })
-
-    return raw.map_batches(tag, batch_format="pyarrow").groupby("pb").map_groups(
-        dedup, batch_format="pyarrow"
-    )
+    # buckets); duplicates carry equal Hamming distances
+    return distinct_pairs(raw, int(nb))
 
 
 # --------------------------------------------------------------------------

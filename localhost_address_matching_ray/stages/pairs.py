@@ -18,12 +18,14 @@ the 1M-row soak, so round 2 splits the stage:
    so a block's candidate graph is connected by construction and the degree
    cap can no longer disconnect true clusters (it bounds *extra* edges, not
    the chain). Overflowing blocks keep a prefix, logged never silent.
-2. **verify** — signatures (and path stems) are fetched for ONLY the rows
+2. **verify** — a payload (the ``sig8`` signature, or in exact mode the
+   ``tok64`` token set) and the path stem are fetched for ONLY the rows
    that appear in a candidate pair: broadcast fetch below
-   ``verify_broadcast_max_rows`` involved rows (sig8 matrix + stems ride the
-   object store once), partitioned hash-join fetch above it. Scoring is one
-   vectorized uint8-equality reduction per candidate batch. Pairs whose
-   MinHash estimate falls below ``jaccard_threshold`` but at/above
+   ``verify_broadcast_max_rows`` involved rows (one id-sorted bundle rides
+   the object store once), partitioned hash-join fetch above it. Both
+   fetches feed one scorer; only its kernel differs by mode (a vectorized
+   uint8-equality mean, or exact token-set Jaccard). Pairs whose
+   score falls below ``jaccard_threshold`` but at/above
    ``rename_jaccard_floor`` get the Jaro-Winkler stem assist
    (``functions.similarity.jaro_winkler``, DuckDB-parity tested): similar
    stem + moderately-similar content ⇒ edge (the north-star's
@@ -31,8 +33,8 @@ the 1M-row soak, so round 2 splits the stage:
    ``config.stem_sim_threshold``).
 
 Emits edges ``(u, v, score)`` with ``u < v``; duplicates across bands/key
-families/buckets are collapsed by a bucketed unique-max keyed on
-``hash(u, v)``.
+families/buckets are collapsed by :func:`distinct_pairs`, the bucketed
+fold keyed on ``hash(u, v)`` that every pair operator shares.
 """
 
 from __future__ import annotations
@@ -47,10 +49,17 @@ import ray.data
 from localhost_address_matching_ray.config import PipelineConfig
 from localhost_address_matching_ray.functions.arrowbuf import (
     binary_col_matrix,
-    hex16_col_to_u64,
+    hex16_ids,
+    one_array,
+    s16_to_arrow,
+    u64_to_hex16,
 )
-from localhost_address_matching_ray.functions.similarity import jaro_winkler
-from localhost_address_matching_ray.stages.broadcast import cached_get
+from localhost_address_matching_ray.functions.similarity import duckdb_round, jaro_winkler
+from localhost_address_matching_ray.stages.broadcast import (
+    cached_get,
+    fetch_sorted,
+    involved_ids,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -90,40 +99,66 @@ def _unique_pairs(arr: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _hex16_to_u64(ids: list[str]) -> np.ndarray:
-    """row_id (16 hex chars, sha256 prefix) → uint64; big-endian view keeps
-    lexicographic order, so u64 compares == string compares.
-
-    This is the fallback for when the Arrow buffer fast path returned None
-    — i.e. exactly when some id is NOT uniformly 16 hex chars — so it must
-    validate per-id: joining mixed-width ids and slicing the blob at 16-char
-    boundaries would silently scramble keys across rows (the
-    blocking._PayloadEmitter lesson), dropping candidate pairs downstream."""
-    bad = [i for i in ids if len(i) != 16]
-    if bad:
+def _binary_u64_parts(col) -> tuple[np.ndarray, np.ndarray]:
+    """Variable-width binary column of packed u64s → (row offsets in u64
+    units, flat u64 values), zero-copy off the Arrow buffers; fails loudly
+    if any value's width is not a multiple of 8 (token sets are whole
+    u64s by construction — drift means a schema bug, not data)."""
+    col = one_array(col)
+    bufs = col.buffers()
+    off_b = np.frombuffer(bufs[1], dtype=np.int32)[
+        col.offset : col.offset + len(col) + 1
+    ].astype(np.int64)
+    if np.any(np.diff(off_b) % 8):
         raise ValueError(
-            f"row_id must be 16 hex chars (pipeline contract; "
-            f"functions.hashing assign_row_ids produces them): got e.g. "
-            f"{bad[0]!r}"
+            "packed token-set width drift: a binary value is not a whole "
+            "number of uint64s — tok64 packing / schema mismatch"
         )
-    return np.frombuffer(bytes.fromhex("".join(ids)), dtype=">u8").astype(np.uint64)
+    data = np.frombuffer(bufs[2], dtype=np.uint8)
+    start = off_b[0]
+    flat = np.ascontiguousarray(data[start : off_b[-1]]).view(np.uint64)
+    return (off_b - start) // 8, flat
 
 
-def _u64_to_hex(vals: np.ndarray) -> list[str]:
-    return [format(int(v), "016x") for v in vals]
+def _tok_list_to_binary(col) -> pa.Array:
+    """``list<uint64>`` token-set column → variable-width ``binary`` (the
+    u64s' native bytes), built from buffers with no per-row Python. Binary
+    columns ride Arrow hash joins and ``take``; list columns are rejected as
+    non-key join fields — this is what lets exact-mode verify scale past the
+    broadcast ceiling."""
+    col = one_array(col)
+    offs = col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    vals = col.values.to_numpy(zero_copy_only=False).astype(np.uint64)
+    base = offs[0]  # sliced arrays: offsets are absolute into values
+    if (offs[-1] - base) * 8 > np.iinfo(np.int32).max:
+        raise ValueError(
+            "packed token-set batch exceeds int32 binary offsets "
+            f"({(offs[-1] - base) * 8} bytes) — lower the batch size"
+        )
+    rel = ((offs - base) * 8).astype(np.int32)
+    data = np.ascontiguousarray(vals[base:offs[-1]]).view(np.uint8)
+    return pa.Array.from_buffers(
+        pa.binary(), len(col),
+        [None, pa.py_buffer(rel), pa.py_buffer(data)],
+    )
 
 
-def _intersection_counts(
-    seg: np.ndarray, val: np.ndarray, n_pairs: int
-) -> np.ndarray:
-    """|A ∩ B| per pair from one concatenated (pair, value) stream where
-    each side's values are unique within its pair: one lexsort, adjacent
-    equal values inside a pair count the intersection (the shared kernel of
-    both exact-verify scorers; stages/docs_ops.py uses the same shape)."""
+def _intersection_counts(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|A ∩ B|, |A|, |B|) per row of two aligned packed-u64 set columns
+    (:func:`_tok_list_to_binary`) whose sets hold unique values: one
+    lexsort of the concatenated (row, value) stream, and adjacent equal
+    values inside a row count the intersection. The shared kernel of the
+    flagship's exact verify and ``docs_ops.minhash_lsh_pairs``."""
+    offu, valu = _binary_u64_parts(a)
+    offv, valv = _binary_u64_parts(b)
+    lu, lv = np.diff(offu), np.diff(offv)
+    n = len(lu)
+    seg = np.concatenate((np.repeat(np.arange(n), lu), np.repeat(np.arange(n), lv)))
+    val = np.concatenate((valu, valv))
     o = np.lexsort((val, seg))
-    seg_s, val_s = seg[o], val[o]
-    dup = (seg_s[1:] == seg_s[:-1]) & (val_s[1:] == val_s[:-1])
-    return np.bincount(seg_s[1:][dup], minlength=n_pairs)
+    seg, val = seg[o], val[o]
+    dup = (seg[1:] == seg[:-1]) & (val[1:] == val[:-1])
+    return np.bincount(seg[1:][dup], minlength=n), lu, lv
 
 
 def _candidate_pairs_factory(config: PipelineConfig):
@@ -244,10 +279,6 @@ def _candidate_pairs_factory(config: PipelineConfig):
     return pairs_bucket
 
 
-_PB_P1 = np.uint64(0x9E3779B97F4A7C15)
-_PB_P2 = np.uint64(0xC2B2AE3D27D4EB4F)
-
-
 def candidate_pairs(blocks: ray.data.Dataset, config: PipelineConfig) -> ray.data.Dataset:
     """Key-only blocking rows → in-bucket-distinct candidate pairs (uint64).
 
@@ -264,47 +295,119 @@ def candidate_pairs(blocks: ray.data.Dataset, config: PipelineConfig) -> ray.dat
     )
 
 
-def _slim_features(features: ray.data.Dataset) -> ray.data.Dataset:
-    return features.select_columns(["row_id", "sig8", "stem"])
+_PB_P1 = np.uint64(0x9E3779B97F4A7C15)
+_PB_P2 = np.uint64(0xC2B2AE3D27D4EB4F)
 
 
-def _scorer_factory(bundle_ref, config: PipelineConfig):
-    """Stateless-task scorer over the broadcast (ids, sig-matrix, stems)
-    bundle, fetched once per worker process (numpy parts are zero-copy from
-    plasma)."""
+def distinct_pairs(
+    ds: ray.data.Dataset, buckets: int, u: str = "u", v: str = "v",
+    keep_max: str | None = None,
+) -> ray.data.Dataset:
+    """One row per distinct ``(u, v)`` of a pair stream, other columns
+    carried along. Rows are tagged with ``hash(u, v) % buckets`` and folded
+    by a groupby of that low-cardinality tag, one lexsort per bucket —
+    never a ``groupby([u, v])`` (Ray's per-key groupby floor). Which copy
+    of a pair survives is arbitrary unless ``keep_max`` names a column,
+    whose largest value then wins. ``buckets`` is resolved on the driver,
+    so every task shares one modulus."""
+    nb = np.uint64(buckets)
+
+    def tag(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return t.append_column("pb", pa.array([], pa.int32()))
+        a = t[u].to_numpy(zero_copy_only=False).astype(np.uint64)
+        b = t[v].to_numpy(zero_copy_only=False).astype(np.uint64)
+        pb = ((a * _PB_P1 ^ b * _PB_P2) % nb).astype(np.int32)
+        return t.append_column("pb", pa.array(pb, pa.int32()))
+
+    def fold(g: pa.Table) -> pa.Table:
+        g = g.select([c for c in g.column_names if c != "pb"])
+        if g.num_rows == 0:
+            return g
+        a = g[u].to_numpy(zero_copy_only=False)
+        b = g[v].to_numpy(zero_copy_only=False)
+        keys = (b, a) if keep_max is None else (
+            -g[keep_max].to_numpy(zero_copy_only=False), b, a
+        )
+        order = np.lexsort(keys)
+        a, b = a[order], b[order]
+        first = np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
+        return g.take(pa.array(order[first]))
+
+    return ds.map_batches(tag, batch_format="pyarrow").groupby("pb").map_groups(
+        fold, batch_format="pyarrow"
+    )
+
+
+def _row_ids(t: pa.Table) -> np.ndarray:
+    return hex16_ids(t["row_id"])
+
+
+def _sig_agreement(num_perm: int):
+    """Estimate-mode kernel: the share of equal bytes between two aligned
+    columns of ``num_perm``-byte folded MinHash signatures."""
+
+    def kernel(a, b) -> np.ndarray:
+        su, sv = binary_col_matrix(a, num_perm), binary_col_matrix(b, num_perm)
+        if su is None or sv is None:
+            # None means some value is not num_perm bytes: comparing
+            # misaligned bytes would be a silently wrong Jaccard
+            raise ValueError(
+                f"signature width drift: expected {num_perm}-byte sig8 values "
+                "— feature stage / config.num_perm mismatch (stale checkpoint?)"
+            )
+        return (su == sv).mean(axis=1)
+
+    return kernel
+
+
+def _token_jaccard(a, b) -> np.ndarray:
+    """Exact-mode kernel: token-set Jaccard of two aligned packed ``tok64``
+    columns, DuckDB-rounded to 6 places BEFORE the threshold, so the edge
+    predicate matches the corpus_linkage_clusters SQL oracle bit for bit."""
+    inter, lu, lv = _intersection_counts(a, b)
+    union = lu + lv - inter
+    return duckdb_round(np.where(union > 0, inter / np.maximum(union, 1), 1.0), 6)
+
+
+def _payload(config: PipelineConfig):
+    """(feature column, its packing into the binary column both endpoint
+    fetches carry, the kernel that scores two aligned packed columns)."""
+    if config.verify_mode == "exact":
+        # the feature stage emits tok64 (sorted-unique uint64 token
+        # hashes) only in exact mode
+        return "tok64", _tok_list_to_binary, _token_jaccard
+    return "sig8", one_array, _sig_agreement(config.num_perm)
+
+
+def _scorer(config: PipelineConfig):
+    """Pairs with both endpoints attached — (pu, pv, pay_u, stem_u, pay,
+    stem), from either fetch — → thresholded (pu, pv, score). A pair below
+    ``jaccard_threshold`` but at or above ``rename_jaccard_floor`` passes
+    when its path stems' Jaro-Winkler similarity reaches
+    ``stem_sim_threshold`` (a borderline band: few pairs)."""
+    kernel = _payload(config)[2]
     threshold = config.jaccard_threshold
     floor = config.rename_jaccard_floor
     stem_thr = config.stem_sim_threshold
 
-    def score(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
+    def score(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
             return pa.table(_EMPTY_SCORED)
-        ids, sigs, stems = cached_get(bundle_ref)
-        pu = batch["pu"].to_numpy(zero_copy_only=False)
-        pv = batch["pv"].to_numpy(zero_copy_only=False)
-        # clamp + mask: a candidate id absent from the fetched bundle is
-        # DROPPED (same behavior as the join path) instead of raising
-        # IndexError / silently scoring a neighboring row's signature
-        iu = np.minimum(np.searchsorted(ids, pu), len(ids) - 1)
-        iv = np.minimum(np.searchsorted(ids, pv), len(ids) - 1)
-        hit = (ids[iu] == pu) & (ids[iv] == pv)
-        if not hit.all():
-            pu, pv, iu, iv = pu[hit], pv[hit], iu[hit], iv[hit]
-            if len(pu) == 0:
-                return pa.table(_EMPTY_SCORED)
-        est = (sigs[iu] == sigs[iv]).mean(axis=1)
+        est = kernel(t["pay_u"], t["pay"])
         accept = est >= threshold
-        # Jaro-Winkler stem assist on the borderline band only (few pairs);
-        # stems is an Arrow array — materialized per assist pair only
         assist = np.flatnonzero((~accept) & (est >= floor))
-        for i in assist:
-            if jaro_winkler(stems[iu[i]].as_py(), stems[iv[i]].as_py()) >= stem_thr:
-                accept[i] = True
-        keep = np.flatnonzero(accept)
+        if len(assist):
+            idx = pa.array(assist)
+            stems = zip(t["stem_u"].take(idx).to_pylist(), t["stem"].take(idx).to_pylist())
+            for i, (a, b) in zip(assist, stems):
+                if jaro_winkler(a, b) >= stem_thr:
+                    accept[i] = True
+        keep = pa.array(np.flatnonzero(accept))
         return pa.table({
-            "pu": pa.array(pu[keep], pa.uint64()),
-            "pv": pa.array(pv[keep], pa.uint64()),
-            "score": pa.array(est[keep], pa.float64()),
+            "pu": t["pu"].take(keep),
+            "pv": t["pv"].take(keep),
+            "score": pa.array(est, pa.float64()).take(keep),
         })
 
     return score
@@ -314,454 +417,96 @@ def _verify_broadcast(
     pairs: ray.data.Dataset, features: ray.data.Dataset,
     involved: "np.ndarray | None", config: PipelineConfig,
 ) -> ray.data.Dataset:
-    """Fetch sig8/stem for involved rows via a filtered pass over features
-    (``involved=None`` skips the filter — the whole table fits the bundle),
-    broadcast the bundle, score pairs in stateless map_batches. Emits the
-    SCORED uint64 stream (pu, pv, score) — thresholded but possibly still
-    carrying cross-bucket duplicate pairs; callers dedup the (small) edge
-    stream."""
-    slim = _slim_features(features)
-    if involved is not None:
-        inv_ref = ray.put(involved)  # sorted uint64
-
-        def fetch(batch: pa.Table) -> pa.Table:
-            keys = ray.get(inv_ref)
-            bids = hex16_col_to_u64(batch["row_id"])
-            if bids is None:  # non-16-hex ids: scalar fallback
-                bids = _hex16_to_u64(batch["row_id"].to_pylist())
-            pos = np.minimum(np.searchsorted(keys, bids), len(keys) - 1)
-            return batch.filter(pa.array(keys[pos] == bids))
-
-        slim = slim.map_batches(fetch, batch_format="pyarrow", batch_size=8192)
-    tbls = [
-        t for t in ray.get(slim.to_arrow_refs())
-        if t.num_rows > 0
-    ]
-    if not tbls:
-        return ray.data.from_arrow(pa.table(_EMPTY_SCORED))
-    ft = pa.concat_tables(
-        [t.select(["row_id", "sig8", "stem"]) for t in tbls]
-    ).combine_chunks()
-    num_perm = config.num_perm
-    # zero-copy-ish extraction straight from the Arrow buffers: row_id is
-    # n·16 hex chars and sig8 n·num_perm bytes, both contiguous (the shared
-    # helpers validate per-value widths so a malformed id fails loud)
-    ids = hex16_col_to_u64(ft["row_id"])
-    sigs = binary_col_matrix(ft["sig8"], num_perm)
-    if ids is None or sigs is None:
-        raise ValueError(
-            "verify bundle requires 16-hex row_ids and uniform "
-            f"{num_perm}-byte sig8 values"
-        )
-    order = np.argsort(ids)
-    ids = ids[order]
-    sigs = sigs[order]
-    stems = ft["stem"].chunk(0).take(pa.array(order))  # arrow array: lazy .as_py per assist pair
-    bundle_ref = ray.put((ids, sigs, stems))
-    return pairs.map_batches(
-        _scorer_factory(bundle_ref, config),
-        batch_format="pyarrow", batch_size=16384,
+    """Broadcast endpoint fetch: the packed payload and stem of the involved
+    rows (``involved=None``: every row) ride the object store once as one
+    id-sorted bundle, and each pair batch finds both endpoints by
+    ``searchsorted``. Emits the thresholded (pu, pv, score) stream, which
+    may still carry cross-bucket duplicate pairs."""
+    col, pack, _ = _payload(config)
+    got = fetch_sorted(
+        features.select_columns(["row_id", col, "stem"]), involved, _row_ids
     )
+    if got is None:
+        return ray.data.from_arrow(pa.table(_EMPTY_SCORED))
+    ids, ft = got
+    bundle_ref = ray.put((ids, pack(ft[col]), one_array(ft["stem"])))
+    score = _scorer(config)
 
-
-def _exact_scorer_factory(bundle_ref, config: PipelineConfig):
-    """Exact token-set Jaccard scorer over the broadcast
-    (ids, offsets, flat token hashes, stems) bundle — the
-    ``verify_mode="exact"`` analog of :func:`_scorer_factory`. Each row's
-    hashes are sorted-unique, so after one lexsort of the gathered
-    (pair, value) stream, adjacent equal values within a pair count the
-    intersection (stages/docs_ops.py kernel). The score is the
-    DuckDB-rounded Jaccard, so the edge predicate matches the
-    corpus_linkage_clusters SQL oracle bit-for-bit."""
-    from localhost_address_matching_ray.functions.similarity import duckdb_round
-
-    threshold = config.jaccard_threshold
-    floor = config.rename_jaccard_floor
-    stem_thr = config.stem_sim_threshold
-
-    def score(batch: pa.Table) -> pa.Table:
+    def attach_and_score(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table(_EMPTY_SCORED)
-        ids, offs, flat, stems = cached_get(bundle_ref)
+        ids, pay, stems = cached_get(bundle_ref)
         pu = batch["pu"].to_numpy(zero_copy_only=False)
         pv = batch["pv"].to_numpy(zero_copy_only=False)
+        # clamp + mask: a candidate id absent from the bundle is DROPPED
+        # (as in the join path), never scored against a neighboring row
         iu = np.minimum(np.searchsorted(ids, pu), len(ids) - 1)
         iv = np.minimum(np.searchsorted(ids, pv), len(ids) - 1)
         hit = (ids[iu] == pu) & (ids[iv] == pv)
-        if not hit.all():
-            pu, pv, iu, iv = pu[hit], pv[hit], iu[hit], iv[hit]
-            if len(pu) == 0:
-                return pa.table(_EMPTY_SCORED)
-        n_pairs = len(pu)
-        lu = offs[iu + 1] - offs[iu]
-        lv = offs[iv + 1] - offs[iv]
+        iu, iv = pa.array(iu[hit]), pa.array(iv[hit])
+        return score(pa.table({
+            "pu": pa.array(pu[hit], pa.uint64()),
+            "pv": pa.array(pv[hit], pa.uint64()),
+            "pay_u": pay.take(iu), "stem_u": stems.take(iu),
+            "pay": pay.take(iv), "stem": stems.take(iv),
+        }))
 
-        def gather_side(ii: np.ndarray, ll: np.ndarray) -> np.ndarray:
-            tot = int(ll.sum())
-            outs = np.concatenate(([0], np.cumsum(ll)[:-1]))
-            return flat[
-                np.repeat(offs[ii] - outs, ll) + np.arange(tot, dtype=np.int64)
-            ]
-
-        seg = np.concatenate((np.repeat(np.arange(n_pairs), lu),
-                              np.repeat(np.arange(n_pairs), lv)))
-        val = np.concatenate((gather_side(iu, lu), gather_side(iv, lv)))
-        inter = _intersection_counts(seg, val, n_pairs)
-        union = lu + lv - inter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            est = duckdb_round(
-                np.where(union > 0, inter / np.maximum(union, 1), 1.0), 6
-            )
-        accept = est >= threshold
-        assist = np.flatnonzero((~accept) & (est >= floor))
-        for i in assist:
-            if jaro_winkler(stems[iu[i]].as_py(), stems[iv[i]].as_py()) >= stem_thr:
-                accept[i] = True
-        keep = np.flatnonzero(accept)
-        return pa.table({
-            "pu": pa.array(pu[keep], pa.uint64()),
-            "pv": pa.array(pv[keep], pa.uint64()),
-            "score": pa.array(est[keep], pa.float64()),
-        })
-
-    return score
-
-
-def _verify_broadcast_exact(
-    pairs: ray.data.Dataset, features: ray.data.Dataset,
-    involved: "np.ndarray | None", config: PipelineConfig,
-) -> ray.data.Dataset:
-    """Exact-mode verify fetch: broadcast (ids, token-set offsets/values,
-    stems) for involved rows and score pairs by exact Jaccard. The feature
-    stage emits ``tok64`` (sorted-unique uint64 token hashes) only in exact
-    mode, so this path requires ``config.verify_mode == "exact"``."""
-    slim = features.select_columns(["row_id", "tok64", "stem"])
-    if involved is not None:
-        inv_ref = ray.put(involved)
-
-        def fetch(batch: pa.Table) -> pa.Table:
-            keys = ray.get(inv_ref)
-            bids = hex16_col_to_u64(batch["row_id"])
-            if bids is None:
-                bids = _hex16_to_u64(batch["row_id"].to_pylist())
-            pos = np.minimum(np.searchsorted(keys, bids), len(keys) - 1)
-            return batch.filter(pa.array(keys[pos] == bids))
-
-        slim = slim.map_batches(fetch, batch_format="pyarrow", batch_size=8192)
-    tbls = [t for t in ray.get(slim.to_arrow_refs()) if t.num_rows > 0]
-    if not tbls:
-        return ray.data.from_arrow(pa.table(_EMPTY_SCORED))
-    ft = pa.concat_tables(
-        [t.select(["row_id", "tok64", "stem"]) for t in tbls]
-    ).combine_chunks()
-    ids = hex16_col_to_u64(ft["row_id"])
-    if ids is None:
-        ids = _hex16_to_u64(ft["row_id"].to_pylist())
-    col = ft["tok64"]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    raw_offs = col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    lens = np.diff(raw_offs)
-    vals = col.values.to_numpy(zero_copy_only=False).astype(np.uint64)
-    starts = raw_offs[:-1]
-    order = np.argsort(ids)
-    lens_s = lens[order]
-    out_starts = np.concatenate(([0], np.cumsum(lens_s)[:-1]))
-    gather = np.repeat(starts[order] - out_starts, lens_s) + np.arange(
-        int(lens_s.sum()), dtype=np.int64
-    )
-    stems = ft["stem"].chunk(0).take(pa.array(order))
-    bundle_ref = ray.put((
-        ids[order],
-        np.concatenate((out_starts, [int(lens_s.sum())])).astype(np.int64),
-        vals[gather],
-        stems,
-    ))
     return pairs.map_batches(
-        _exact_scorer_factory(bundle_ref, config),
-        batch_format="pyarrow", batch_size=16384,
+        attach_and_score, batch_format="pyarrow", batch_size=16384,
     )
-
-
-def _tok_list_to_binary(col) -> pa.Array:
-    """``list<uint64>`` token-set column → variable-width ``binary`` (the
-    u64s' native bytes), built from buffers with no per-row Python. Binary
-    columns ride Arrow hash joins; list columns are rejected as non-key
-    fields — this is what lets exact-mode verify scale past the broadcast
-    ceiling."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    offs = col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    vals = col.values.to_numpy(zero_copy_only=False).astype(np.uint64)
-    base = offs[0]  # sliced arrays: offsets are absolute into values
-    if (offs[-1] - base) * 8 > np.iinfo(np.int32).max:
-        raise ValueError(
-            "packed token-set batch exceeds int32 binary offsets "
-            f"({(offs[-1] - base) * 8} bytes) — lower the batch size"
-        )
-    rel = ((offs - base) * 8).astype(np.int32)
-    data = np.ascontiguousarray(vals[base:offs[-1]]).view(np.uint8)
-    return pa.Array.from_buffers(
-        pa.binary(), len(col),
-        [None, pa.py_buffer(rel), pa.py_buffer(data)],
-    )
-
-
-def _binary_u64_parts(col) -> tuple[np.ndarray, np.ndarray]:
-    """Variable-width binary column of packed u64s → (row offsets in u64
-    units, flat u64 values), zero-copy off the Arrow buffers; fails loudly
-    if any value's width is not a multiple of 8 (token sets are whole
-    u64s by construction — drift means a schema bug, not data)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    bufs = col.buffers()
-    off_b = np.frombuffer(bufs[1], dtype=np.int32)[
-        col.offset : col.offset + len(col) + 1
-    ].astype(np.int64)
-    if np.any(np.diff(off_b) % 8):
-        raise ValueError(
-            "packed token-set width drift: a binary value is not a whole "
-            "number of uint64s — tok64 packing / schema mismatch"
-        )
-    data = np.frombuffer(bufs[2], dtype=np.uint8)
-    start = off_b[0]
-    flat = np.ascontiguousarray(data[start : off_b[-1]]).view(np.uint64)
-    return (off_b - start) // 8, flat
-
-
-def _verify_join_exact(
-    pairs: ray.data.Dataset, features: ray.data.Dataset, config: PipelineConfig,
-) -> ray.data.Dataset:
-    """Exact-mode scale fallback (above the broadcast ceiling): two
-    partitioned hash joins fetch each endpoint's packed token set + stem,
-    then one vectorized lexsort-intersection pass per batch scores the
-    exact Jaccard — the same kernel as the broadcast path, with the token
-    sets arriving via the join instead of the object store."""
-    from localhost_address_matching_ray.functions.similarity import duckdb_round
-    from localhost_address_matching_ray.stages.cluster import _JOIN_ARGS, _partitions_for
-
-    def to_u64_keyed(t: pa.Table) -> pa.Table:
-        rid = hex16_col_to_u64(t["row_id"])
-        if rid is None:
-            rid = _hex16_to_u64(t["row_id"].to_pylist())
-        return pa.table({
-            "rid_u64": pa.array(rid, pa.uint64()),
-            "tokb": _tok_list_to_binary(t["tok64"]),
-            "stem": t["stem"],
-        })
-
-    slim = features.select_columns(["row_id", "tok64", "stem"]).map_batches(
-        to_u64_keyed, batch_format="pyarrow",
-    ).materialize()
-    parts = _partitions_for(max(pairs.count(), 1))
-    j1 = pairs.join(
-        slim, join_type="inner", num_partitions=parts,
-        on=("pu",), right_on=("rid_u64",), **_JOIN_ARGS,
-    ).map_batches(
-        lambda t: pa.table({
-            "pu": t["pu"], "pv": t["pv"], "tok_u": t["tokb"], "stem_u": t["stem"],
-        }),
-        batch_format="pyarrow",
-    )
-    j2 = j1.join(
-        slim, join_type="inner", num_partitions=parts,
-        on=("pv",), right_on=("rid_u64",), **_JOIN_ARGS,
-    )
-
-    threshold = config.jaccard_threshold
-    floor = config.rename_jaccard_floor
-    stem_thr = config.stem_sim_threshold
-
-    def score(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return pa.table(_EMPTY_EDGES)
-        offu, valu = _binary_u64_parts(t["tok_u"])
-        offv, valv = _binary_u64_parts(t["tokb"])
-        lu, lv = np.diff(offu), np.diff(offv)
-        # each side's values are already row-major in joined order — one
-        # concatenated (pair, value) stream, lexsort, adjacent-equal count
-        seg = np.concatenate((np.repeat(np.arange(n), lu),
-                              np.repeat(np.arange(n), lv)))
-        val = np.concatenate((valu, valv))
-        inter = _intersection_counts(seg, val, n)
-        union = lu + lv - inter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            est = duckdb_round(
-                np.where(union > 0, inter / np.maximum(union, 1), 1.0), 6
-            )
-        accept = est >= threshold
-        assist = np.flatnonzero((~accept) & (est >= floor))
-        if len(assist):
-            stem_u = t["stem_u"]
-            stem_v = t["stem"]
-            for i in assist:
-                if jaro_winkler(stem_u[i].as_py(), stem_v[i].as_py()) >= stem_thr:
-                    accept[i] = True
-        keep = np.flatnonzero(accept)
-        pu = t["pu"].to_numpy(zero_copy_only=False)[keep]
-        pv = t["pv"].to_numpy(zero_copy_only=False)[keep]
-        return pa.table({
-            "u": pa.array(_u64_to_hex(pu), pa.string()),
-            "v": pa.array(_u64_to_hex(pv), pa.string()),
-            "score": pa.array(est[keep], pa.float64()),
-        })
-
-    return j2.map_batches(score, batch_format="pyarrow")
 
 
 def _verify_join(
     pairs: ray.data.Dataset, features: ray.data.Dataset, config: PipelineConfig,
 ) -> ray.data.Dataset:
-    """Scale fallback: two partitioned hash joins fetch each endpoint's
-    (sig8, stem); scoring is the same vectorized kernel. Used when the
-    involved-row set exceeds the broadcast ceiling."""
+    """Scale fallback above the broadcast ceiling: two partitioned hash
+    joins attach each endpoint's packed payload and stem to every pair
+    (each ships once per pair occurrence, so callers dedup pairs first),
+    then the broadcast path's scorer runs on the joined batches."""
     from localhost_address_matching_ray.stages.cluster import _JOIN_ARGS, _partitions_for
 
-    def to_u64_keyed(t: pa.Table) -> pa.Table:
-        rid = hex16_col_to_u64(t["row_id"])
-        if rid is None:  # non-16-hex ids: scalar fallback
-            rid = _hex16_to_u64(t["row_id"].to_pylist())
+    col, pack, _ = _payload(config)
+
+    def keyed(t: pa.Table) -> pa.Table:
         return pa.table({
-            "rid_u64": pa.array(rid, pa.uint64()),
-            "sig8": t["sig8"],
+            "rid": pa.array(_row_ids(t), pa.uint64()),
+            "pay": pack(t[col]),
             "stem": t["stem"],
         })
 
-    slim = _slim_features(features).map_batches(
-        to_u64_keyed, batch_format="pyarrow",
+    slim = features.select_columns(["row_id", col, "stem"]).map_batches(
+        keyed, batch_format="pyarrow",
     ).materialize()
     parts = _partitions_for(max(pairs.count(), 1))
     j1 = pairs.join(
         slim, join_type="inner", num_partitions=parts,
-        on=("pu",), right_on=("rid_u64",), **_JOIN_ARGS,
+        on=("pu",), right_on=("rid",), **_JOIN_ARGS,
     ).map_batches(
         lambda t: pa.table({
-            "pu": t["pu"], "pv": t["pv"], "sig_u": t["sig8"], "stem_u": t["stem"],
+            "pu": t["pu"], "pv": t["pv"], "pay_u": t["pay"], "stem_u": t["stem"],
         }),
         batch_format="pyarrow",
     )
-    j2 = j1.join(
+    return j1.join(
         slim, join_type="inner", num_partitions=parts,
-        on=("pv",), right_on=("rid_u64",), **_JOIN_ARGS,
-    )
-
-    threshold = config.jaccard_threshold
-    floor = config.rename_jaccard_floor
-    stem_thr = config.stem_sim_threshold
-    num_perm = config.num_perm
-
-    def score(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return pa.table(_EMPTY_EDGES)
-        su = binary_col_matrix(t["sig_u"], num_perm)
-        sv = binary_col_matrix(t["sig8"], num_perm)
-        if su is None or sv is None:
-            # the buffer path returns None exactly when some value is NOT
-            # num_perm bytes — joining and reshaping would then compare
-            # misaligned signature bytes (silently wrong jaccard), so this
-            # path only re-packs per-value and fails LOUDLY on real drift
-            def repack(col) -> np.ndarray:
-                vals = col.to_pylist()
-                bad = next((v for v in vals if len(v) != num_perm), None)
-                if bad is not None:
-                    raise ValueError(
-                        f"signature width drift: expected {num_perm} bytes, "
-                        f"got {len(bad)} — feature stage / config.num_perm "
-                        f"mismatch (stale checkpoint?)"
-                    )
-                return np.frombuffer(b"".join(vals), dtype=np.uint8).reshape(n, num_perm)
-
-            su = repack(t["sig_u"])
-            sv = repack(t["sig8"])
-        est = (su == sv).mean(axis=1)
-        accept = est >= threshold
-        assist = np.flatnonzero((~accept) & (est >= floor))
-        if len(assist):
-            stem_u = t["stem_u"].to_pylist()
-            stem_v = t["stem"].to_pylist()
-            for i in assist:
-                if jaro_winkler(stem_u[i], stem_v[i]) >= stem_thr:
-                    accept[i] = True
-        keep = np.flatnonzero(accept)
-        pu = t["pu"].to_numpy(zero_copy_only=False)[keep]
-        pv = t["pv"].to_numpy(zero_copy_only=False)[keep]
-        return pa.table({
-            "u": pa.array(_u64_to_hex(pu), pa.string()),
-            "v": pa.array(_u64_to_hex(pv), pa.string()),
-            "score": pa.array(est[keep], pa.float64()),
-        })
-
-    return j2.map_batches(score, batch_format="pyarrow")
+        on=("pv",), right_on=("rid",), **_JOIN_ARGS,
+    ).map_batches(_scorer(config), batch_format="pyarrow")
 
 
-def _distinct_pairs_shuffle(
-    pairs: ray.data.Dataset, buckets: int
-) -> ray.data.Dataset:
-    """Distributed pair dedup: pair-hash bucket groupby + in-bucket
-    np.unique (used only above the driver-collect ceiling)."""
+def _hex_edges(scored: ray.data.Dataset) -> ray.data.Dataset:
+    """(pu, pv, score) uint64 edges → the stage's (u, v, score) edges with
+    16-hex string ids."""
 
-    def tag(t: pa.Table) -> pa.Table:
+    def to_hex(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return t.append_column("pb", pa.array([], pa.int32()))
-        pu = t["pu"].to_numpy(zero_copy_only=False)
-        pv = t["pv"].to_numpy(zero_copy_only=False)
-        pb = ((pu * _PB_P1 ^ pv * _PB_P2) % np.uint64(buckets)).astype(np.int32)
-        return t.append_column("pb", pa.array(pb, pa.int32()))
-
-    def dedup(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table(_EMPTY_PAIRS)
-        arr = _unique_pairs(np.stack([
-            g["pu"].to_numpy(zero_copy_only=False),
-            g["pv"].to_numpy(zero_copy_only=False),
-        ], axis=1))
-        return pa.table({
-            "pu": pa.array(arr[:, 0], pa.uint64()),
-            "pv": pa.array(arr[:, 1], pa.uint64()),
-        })
-
-    return pairs.map_batches(tag, batch_format="pyarrow").groupby("pb").map_groups(
-        dedup, batch_format="pyarrow"
-    )
-
-
-def _edges_distinct_hex(scored: ray.data.Dataset, buckets: int) -> ray.data.Dataset:
-    """Thresholded scored stream (pu, pv, score; cross-bucket duplicate
-    pairs allowed — duplicates carry IDENTICAL scores, same signatures →
-    same kernel) → distinct hex edges (u, v, score), via the pair-hash
-    bucket idiom. The edge stream is orders of magnitude smaller than the
-    candidate stream, so this shuffle is cheap — and it replaces the former
-    DRIVER-side 21M-pair collect + single-threaded argsort dedup that
-    profiling measured at ~15 s of serial time at the 1M soak."""
-
-    def tag(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("pb", pa.array([], pa.int32()))
-        pu = t["pu"].to_numpy(zero_copy_only=False)
-        pv = t["pv"].to_numpy(zero_copy_only=False)
-        pb = ((pu * _PB_P1 ^ pv * _PB_P2) % np.uint64(buckets)).astype(np.int32)
-        return t.append_column("pb", pa.array(pb, pa.int32()))
-
-    def dedup(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
             return pa.table(_EMPTY_EDGES)
-        pu = g["pu"].to_numpy(zero_copy_only=False)
-        pv = g["pv"].to_numpy(zero_copy_only=False)
-        sc = g["score"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((pv, pu))
-        pu, pv, sc = pu[order], pv[order], sc[order]
-        keep = np.concatenate(([True], (pu[1:] != pu[:-1]) | (pv[1:] != pv[:-1])))
         return pa.table({
-            "u": pa.array(_u64_to_hex(pu[keep]), pa.string()),
-            "v": pa.array(_u64_to_hex(pv[keep]), pa.string()),
-            "score": pa.array(sc[keep], pa.float64()),
+            "u": s16_to_arrow(u64_to_hex16(t["pu"].to_numpy(zero_copy_only=False))),
+            "v": s16_to_arrow(u64_to_hex16(t["pv"].to_numpy(zero_copy_only=False))),
+            "score": t["score"],
         })
 
-    return scored.map_batches(tag, batch_format="pyarrow").groupby("pb").map_groups(
-        dedup, batch_format="pyarrow"
-    )
+    return scored.map_batches(to_hex, batch_format="pyarrow")
 
 
 def _tok64_volume(features: ray.data.Dataset) -> int:
@@ -782,39 +527,15 @@ def _tok64_volume(features: ray.data.Dataset) -> int:
     return int(out or 0)
 
 
-def _involved_rows(pairs: ray.data.Dataset) -> np.ndarray:
-    """Sorted unique endpoint ids of the candidate stream, computed with a
-    distributed per-block unique first — the driver merges per-block unique
-    arrays (Σ block uniques) instead of sorting the raw 2×pairs stream."""
-
-    def uniq(t: pa.Table) -> pa.Table:
-        ids = np.unique(np.concatenate([
-            t["pu"].to_numpy(zero_copy_only=False),
-            t["pv"].to_numpy(zero_copy_only=False),
-        ])) if t.num_rows else np.empty(0, np.uint64)
-        return pa.table({"rid": pa.array(ids, pa.uint64())})
-
-    parts = [
-        t["rid"].to_numpy(zero_copy_only=False)
-        for t in ray.get(
-            pairs.map_batches(uniq, batch_format="pyarrow").to_arrow_refs()
-        )
-        if t.num_rows > 0
-    ]
-    if not parts:
-        return np.empty(0, np.uint64)
-    return np.unique(np.concatenate(parts))
-
-
 def verify_edges(
     pairs: ray.data.Dataset, features: ray.data.Dataset, config: PipelineConfig,
 ) -> ray.data.Dataset:
     """Candidate pairs (uint64, cross-bucket duplicates allowed) →
     thresholded DISTINCT edges (u, v, score).
 
-    Cross-bucket duplicates are scored REDUNDANTLY — the scoring kernel is
-    a vectorized byte compare and fully parallel — and dedup happens on the
-    verified EDGE stream, which is smaller than the candidate stream. The
+    On the broadcast path cross-bucket duplicates are scored REDUNDANTLY —
+    the scoring kernel is vectorized and fully parallel — and dedup happens
+    on the verified EDGE stream, which is smaller than the candidate stream. The
     duplicate factor depends on the corpus: in-bucket dedup already
     collapsed the band-level copies, yet on the ``link_hot`` benchmark
     corpus (seed 1) 1,012,385 scored rows collapse to 353,301 distinct
@@ -836,7 +557,6 @@ def verify_edges(
     if n_pairs == 0:
         return ray.data.from_arrow(pa.table(_EMPTY_EDGES))
     exact = config.verify_mode == "exact"
-    broadcast = _verify_broadcast_exact if exact else _verify_broadcast
     # exact bundles carry whole token sets, not 128 B signatures — the row
     # ceiling alone could admit a multi-GB driver collect, so gate the
     # broadcast on total token volume too (one narrow pass over the
@@ -844,26 +564,27 @@ def verify_edges(
     broadcast_ok = (not exact) or (
         _tok64_volume(features) <= config.exact_broadcast_max_tokens
     )
-    # when the WHOLE feature table fits the broadcast ceiling, the involved
-    # set can't not fit — skip computing it (at the 1M soak involved == all
-    # rows and the involved pass cost 3 s of driver wall for a no-op filter)
-    n_feat = features.count()
+    ceiling = config.verify_broadcast_max_rows
     if broadcast_ok:
-        if n_feat <= config.verify_broadcast_max_rows:
-            scored = broadcast(pairs, features, None, config)
-            return _edges_distinct_hex(scored, config.census_buckets)
-        involved = _involved_rows(pairs)
-        if len(involved) <= config.verify_broadcast_max_rows:
-            scored = broadcast(pairs, features, involved, config)
-            return _edges_distinct_hex(scored, config.census_buckets)
+        # when the WHOLE feature table fits the ceiling, the involved set
+        # can't not fit — skip computing it (at the 1M soak involved == all
+        # rows and the involved pass cost 3 s of driver wall for a no-op
+        # filter)
+        involved = (
+            None if features.count() <= ceiling
+            else involved_ids(pairs, "pu", "pv")
+        )
+        if involved is None or len(involved) <= ceiling:
+            scored = _verify_broadcast(pairs, features, involved, config)
+            return _hex_edges(
+                distinct_pairs(scored, config.census_buckets, "pu", "pv")
+            )
     logger.info(
         "verify_edges: broadcast ceiling exceeded (rows or token volume) — "
         "join path",
     )
-    distinct = _distinct_pairs_shuffle(pairs, config.census_buckets)
-    if exact:
-        return _verify_join_exact(distinct, features, config)
-    return _verify_join(distinct, features, config)
+    distinct = distinct_pairs(pairs, config.census_buckets, "pu", "pv")
+    return _hex_edges(_verify_join(distinct, features, config))
 
 
 def candidate_edges(
@@ -871,7 +592,7 @@ def candidate_edges(
     features: ray.data.Dataset,
     config: PipelineConfig,
 ) -> ray.data.Dataset:
-    """Bucketed candidate generation → pair dedup (driver or shuffle) →
-    narrow signature fetch → vectorized verify. Pairs are distinct before
-    scoring, so the verified stream IS the final edge set."""
+    """Bucketed candidate generation → narrow endpoint fetch → vectorized
+    verify → distinct edges (:func:`verify_edges` says where duplicate
+    pairs are collapsed)."""
     return verify_edges(candidate_pairs(blocks, config), features, config)

@@ -5,10 +5,12 @@ column whose per-value widths drift, even when the total length sums right
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from localhost_address_matching_ray.functions.arrowbuf import (
     binary_col_matrix,
     hex16_col_to_u64,
+    hex16_ids,
     u8_matrix_to_binary,
     u64_rows_to_list_array,
 )
@@ -64,6 +66,14 @@ def test_hex16_col_to_u64_values_and_guards():
     # non-hex refuses
     assert hex16_col_to_u64(pa.array(["zz" * 8])) is None
     assert len(hex16_col_to_u64(pa.array([], pa.string()))) == 0
+
+
+def test_hex16_ids_names_the_bad_id():
+    ok = ["00000000000000ff", "ffffffffffffffff"]
+    assert [int(v) for v in hex16_ids(pa.array(ok))] == [255, 2**64 - 1]
+    for bad in ("abc", "zz" * 8):
+        with pytest.raises(ValueError, match=repr(bad)):
+            hex16_ids(pa.chunked_array([pa.array([ok[0], bad])]))
 
 
 def test_u64_rows_to_list_array_matches_per_row_lists():

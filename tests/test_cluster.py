@@ -148,11 +148,11 @@ def test_sbytes_to_arrow_and_hex_roundtrip():
     import numpy as np
     import pyarrow as pa
 
-    from localhost_address_matching_ray.stages.cluster import (
-        _hex16_col_to_u64,
-        _s16_to_arrow,
-        _sbytes_to_arrow,
-        _u64_to_hex16,
+    from localhost_address_matching_ray.functions.arrowbuf import (
+        hex16_col_to_u64 as _hex16_col_to_u64,
+        s16_to_arrow as _s16_to_arrow,
+        sbytes_to_arrow as _sbytes_to_arrow,
+        u64_to_hex16 as _u64_to_hex16,
     )
 
     vals = np.array([0, 1, 0xDEADBEEF, 2**64 - 1, 123456789], dtype=np.uint64)

@@ -138,14 +138,16 @@ def test_exact_linkage_equals_brute_force(small_fixture_tables):
 
 
 def test_exact_join_path_matches_broadcast(small_fixture_tables):
-    """Above the broadcast ceiling exact mode fetches token sets via
-    partitioned hash joins (binary-packed u64 sets) — the clusters must be
-    identical to the broadcast path's."""
+    """Above the broadcast ceiling — of involved rows, or of total token
+    volume — exact mode fetches token sets via partitioned hash joins
+    (binary-packed u64 sets); the clusters must be identical to the
+    broadcast path's."""
     corpus = ray.data.from_arrow(small_fixture_tables["corpus"])
-    via_join = link_corpus(corpus, _cfg(verify_broadcast_max_rows=3))
-    got = {r["row_id"]: r["cluster_id"] for r in via_join["clusters"].take_all()}
     want = _brute_clusters(small_fixture_tables["corpus"], 0.97)
-    assert got == want
+    for knob in ({"verify_broadcast_max_rows": 3}, {"exact_broadcast_max_tokens": 0}):
+        via_join = link_corpus(corpus, _cfg(**knob))
+        got = {r["row_id"]: r["cluster_id"] for r in via_join["clusters"].take_all()}
+        assert got == want, knob
 
 
 def test_exact_mode_checkpoint_resume(small_fixture_tables, tmp_path):

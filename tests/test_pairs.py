@@ -10,6 +10,7 @@ from localhost_address_matching_ray.config import PipelineConfig
 from localhost_address_matching_ray.stages.pairs import (
     candidate_edges,
     candidate_pairs,
+    distinct_pairs,
     verify_edges,
 )
 
@@ -184,13 +185,30 @@ def test_equal_sigp_chain_suppression():
 
 def test_cross_bucket_pair_dedup():
     """The same pair arising in two blocks that land in different buckets
-    is scored redundantly but collapsed to ONE edge in candidate_edges."""
-    cfg = PipelineConfig()
+    is collapsed to ONE edge in candidate_edges: after scoring on the
+    broadcast path, before the joins on the join path."""
     m = [_rid(0), _rid(1)]
     blocks = _blocks([(100, m), (101, m)])  # 100%64=36, 101%64=37: two buckets
-    assert candidate_pairs(blocks, cfg).count() == 2  # cross-bucket dup
     base = bytes([9] * 128)
     feats = _features([(_rid(0), base, "s"), (_rid(1), base, "s")])
-    edges = candidate_edges(blocks, feats, cfg).take_all()
-    assert len(edges) == 1 and edges[0]["score"] == 1.0
-    assert {edges[0]["u"], edges[0]["v"]} == set(m)
+    for cfg in (PipelineConfig(), PipelineConfig(verify_broadcast_max_rows=0)):
+        assert candidate_pairs(blocks, cfg).count() == 2  # cross-bucket dup
+        edges = candidate_edges(blocks, feats, cfg).take_all()
+        assert len(edges) == 1 and edges[0]["score"] == 1.0
+        assert {edges[0]["u"], edges[0]["v"]} == set(m)
+
+
+def test_distinct_pairs_fold():
+    """Copies of a pair split across blocks collapse to one row; with
+    ``keep_max`` the copy with the largest value survives."""
+    blocks = [
+        pa.table({"u": [1, 2, 1], "v": [2, 3, 2], "score": [0.5, 0.9, 0.7]}),
+        pa.table({"u": [1, 4], "v": [2, 5], "score": [0.6, 0.1]}),
+        pa.table({"u": [2], "v": [3], "score": [0.8]}),
+    ]
+    raw = ray.data.from_arrow(blocks)
+    rows = distinct_pairs(raw, 8).take_all()
+    assert sorted((r["u"], r["v"]) for r in rows) == [(1, 2), (2, 3), (4, 5)]
+    best = {(r["u"], r["v"]): r["score"]
+            for r in distinct_pairs(raw, 8, keep_max="score").take_all()}
+    assert best == {(1, 2): 0.7, (2, 3): 0.9, (4, 5): 0.1}

@@ -7,10 +7,10 @@ import numpy as np
 import pyarrow as pa
 
 from localhost_address_matching_ray.config import PipelineConfig, bucket_width
-from localhost_address_matching_ray.stages.cluster import (
-    _fixed_width_bytes,
-    _hex16_col_to_u64,
+from localhost_address_matching_ray.functions.arrowbuf import (
+    hex16_col_to_u64 as _hex16_col_to_u64,
 )
+from localhost_address_matching_ray.stages.cluster import _fixed_width_bytes
 
 
 def test_bucket_width_scales_with_cpus(monkeypatch):
