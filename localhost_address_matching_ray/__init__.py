@@ -14,7 +14,7 @@ Pipeline shape (SURVEY.md §7.0)::
       → features            (tokens, shingles, MinHash; one stateless
                              map_batches task per block, fused with normalize)
       → block               (composite keys lang ⊕ band ⊕ stem, salted hot keys)
-      → groupby(bucket).map_groups(candidate pairs) → verify (score)
+      → bucket_fold(block_key, candidate pairs) → verify (score)
       → edges → components  (vectorized union-find on the driver up to
                              driver_cc_max_edges, distributed min-label
                              propagation above it)

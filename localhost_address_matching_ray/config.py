@@ -131,11 +131,6 @@ class PipelineConfig:
     #   pipeline's only all-to-all ops carry ids + 128-byte sigs.
 
     # --- scale-adaptive machinery ---
-    census_buckets: int = 0           # low-cardinality bucket groupby width;
-                                      # 0 (default) = cluster-relative
-                                      # bucket_width() resolved once at
-                                      # construction (driver), so every side
-                                      # of the bucket groupby agrees
     census_sample_div: int = 4        # census samples 1/div of rows when it
                                       # only feeds hot-key detection (a
                                       # >max_block key still shows up at
@@ -193,20 +188,6 @@ class PipelineConfig:
                 f"{self.minhash_mode!r} — a typo here would silently pick a "
                 f"signature family and fork the checkpoint namespace"
             )
-        if self.census_buckets <= 0:
-            # Resolve the cluster-relative width ONCE, at driver-side
-            # construction, so the concrete int ships into every actor —
-            # no driver/worker disagreement on an autoscaling cluster.
-            # If the config is built BEFORE ray.init() (common: `cfg =
-            # PipelineConfig(); ray.init(); link_corpus(corpus, cfg)`),
-            # bucket_width() would see 0 CPUs and silently pin the floor
-            # (64) on a 256-CPU cluster — so keep the 0 sentinel and let
-            # link_corpus / the stage entry points resolve it lazily once
-            # the cluster size is knowable.
-            import ray
-
-            if ray.is_initialized():
-                object.__setattr__(self, "census_buckets", bucket_width())
 
     @property
     def effective_minhash_mode(self) -> str:
@@ -224,13 +205,15 @@ class PipelineConfig:
 
 
 def bucket_width(floor: int = 64, per_cpu: int = 4) -> int:
-    """Cluster-relative width for the low-cardinality bucket-groupby idiom
-    (census, pair-hash dedup, LSH verify, sessionization): a fixed 64
-    saturates a 32-CPU box but caps a multi-node cluster at 64 concurrent
-    verify/dedup tasks, so the width is ``max(floor, per_cpu × CPUs)``.
-    Bucket assignment only partitions work — any width yields identical
-    results because every key/pair lands wholly in one bucket. Call on the
-    DRIVER and capture the concrete int in the stage closure / actor args."""
+    """Cluster-relative width of the hash-bucket fold
+    (``stages.buckets.bucket_fold``; also the partition count of a few
+    registry repartitions and joins): a fixed 64 saturates a 32-CPU box but
+    caps a multi-node cluster at 64 concurrent fold tasks, so the width is
+    ``max(floor, per_cpu × CPUs)``. Bucket assignment only partitions work —
+    any width yields identical results because every key lands wholly in
+    one bucket. The fold calls this on the DRIVER when it is built, after
+    the session is up, and captures the int in its tag closure; before
+    ``ray.init()`` it returns the floor."""
     import ray
 
     try:
@@ -238,25 +221,6 @@ def bucket_width(floor: int = 64, per_cpu: int = 4) -> int:
     except Exception:
         cpus = 0
     return max(floor, per_cpu * cpus)
-
-
-def default_pool_size(requested: int | None = None) -> int:
-    """Actor-pool size that leaves headroom for the read/shuffle stages: a
-    pool that reserves every CPU starves the rest of the pipeline and can
-    deadlock a small session (ray_guide: size concurrency x num_cpus so the
-    pool fits beside the other stages)."""
-    cap = max(1, _session_cpus() - 2)
-    return min(requested, cap) if requested else cap
-
-
-def _session_cpus() -> int:
-    """The Ray session's CPU count; 4 when no session is up."""
-    import ray
-
-    try:
-        return int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    except Exception:
-        return 4
 
 
 def object_store_args() -> dict:

@@ -85,10 +85,11 @@ def u64_bucket(keys: np.ndarray, nb: int) -> np.ndarray:
     """Deterministic int32 bucket of an integer key array: splitmix-style
     remix (golden-ratio multiply + xor-shift) mod *nb*.
 
-    THE shared bucket-tag hash for every bucketed-groupby operator
-    (sessions, as-of/range joins, window stats, anti/semi joins) — one
-    implementation so the "equal keys land in the same bucket" partitioning
-    assumption can never diverge between operators."""
+    The bucket hash of the hash-bucket fold (``stages.buckets``), its only
+    caller: integer keys come here directly, string and multi-column keys
+    as their mixed 64-bit hashes — one implementation, so the "equal keys
+    land in the same bucket" partitioning assumption can never diverge
+    between operators."""
     h = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     h ^= h >> np.uint64(33)
     return (h % np.uint64(nb)).astype(np.int32)

@@ -31,7 +31,7 @@ HLL_M = 1 << HLL_P
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Full splitmix64 finalizer: uniform, avalanching uint64 hash of an
-    integer key array (the partial remix in ``hashing.u64_bucket`` is fine
+    integer key array (the bucket fold's one-round remix is fine
     for bucketing but too weak for HLL's leading-zero statistics)."""
     z = x.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)

@@ -102,16 +102,6 @@ def link_corpus(
     import ray
 
     config = config or PipelineConfig()
-    if config.census_buckets <= 0:
-        # config was constructed before ray.init() (the 0 sentinel survives
-        # __post_init__ only in that case) — resolve the cluster-relative
-        # bucket width HERE, on the driver with the cluster up, so the
-        # concrete int ships into every stage closure/actor.
-        from dataclasses import replace
-
-        from localhost_address_matching_ray.config import bucket_width
-
-        config = replace(config, census_buckets=bucket_width())
     metrics = metrics or StageMetrics()
     metrics.phase("start")  # arm the per-barrier wall clock
     ckpt = config.checkpoint_dir

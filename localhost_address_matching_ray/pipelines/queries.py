@@ -33,6 +33,7 @@ from ray.data.aggregate import Count, Max, Mean, Min, Sum
 from localhost_address_matching_ray.functions.phonetic import soundex_batch, soundex_sql
 from localhost_address_matching_ray.functions.similarity import duckdb_round, levenshtein_batch
 from localhost_address_matching_ray.sources.tables import CORPUS_SQL, corpus_from_documents, read_table
+from localhost_address_matching_ray.stages.buckets import bucket_fold, keyed_fold
 
 
 def _round_col(t: pa.Table, col: str, decimals: int) -> pa.Table:
@@ -82,50 +83,6 @@ def _inner_join(left, right, *, n_left: int, on, right_on=None,
     return left.join(
         right, join_type="inner", num_partitions=_join_parts(n_left),
         on=on, right_on=right_on, **kw,
-    )
-
-
-def _bucketed_key_fold(
-    ds, key: str, fcols: list[str], ccol: str | None = None
-):
-    """``groupby(key).aggregate(Sum(fcols...)[, Count])`` for a
-    HIGH-CARDINALITY int64 key, as per-batch combiners + one
-    hash(key)-bucketed fold: the sort-shuffle orders ``bucket_width()``
-    bucket keys instead of |keys| distinct values (measured 5× on q18's
-    per-order aggregate at sf0.1). Each key hashes to exactly one bucket,
-    so the per-bucket fold is total. Output columns keep their input names
-    (``fcols`` become their per-key sums; ``ccol`` the per-key row count)."""
-    from localhost_address_matching_ray.config import bucket_width
-    from localhost_address_matching_ray.functions.hashing import u64_bucket
-
-    nb = bucket_width()
-
-    def combine(t: pa.Table, with_bucket: bool) -> pa.Table:
-        k = t[key].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(k, return_inverse=True)
-        cols: dict = {key: pa.array(uniq, pa.int64())}
-        for c in fcols:
-            v = t[c].to_numpy(zero_copy_only=False)
-            s = np.zeros(len(uniq), dtype=np.float64)
-            np.add.at(s, inv, v)
-            cols[c] = pa.array(s, pa.float64())
-        if ccol is not None:
-            if ccol in t.column_names:  # fold pass: sum prior partial counts
-                s = np.zeros(len(uniq), dtype=np.int64)
-                np.add.at(s, inv, t[ccol].to_numpy(zero_copy_only=False))
-                cols[ccol] = pa.array(s, pa.int64())
-            else:  # combiner pass: count the raw rows
-                cols[ccol] = pa.array(
-                    np.bincount(inv, minlength=len(uniq)), pa.int64()
-                )
-        if with_bucket:
-            cols["__ub"] = pa.array(u64_bucket(uniq, nb))
-        return pa.table(cols)
-
-    return (
-        ds.map_batches(lambda t: combine(t, True), batch_format="pyarrow")
-        .groupby("__ub")
-        .map_groups(lambda g: combine(g, False), batch_format="pyarrow")
     )
 
 
@@ -1188,7 +1145,7 @@ def q3_top_orders(
                             pc.subtract(pa.scalar(1.0), t["l_discount"]))
             return pa.table({"o_orderkey": t["l_orderkey"], "revenue": r})
 
-        agg = _bucketed_key_fold(
+        agg = keyed_fold(
             li.map_batches(rev, batch_format="pyarrow"), "o_orderkey", ["revenue"]
         ).map_batches(lambda t: _round_col(t, "revenue", 2), batch_format="pyarrow")
         return agg.sort(["revenue", "o_orderkey"], descending=[True, False]).limit(10)
@@ -1198,7 +1155,7 @@ def q3_top_orders(
         r = pc.multiply(t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"]))
         return pa.table({"o_orderkey": t["l_orderkey"], "revenue": r})
 
-    li_agg = _bucketed_key_fold(
+    li_agg = keyed_fold(
         li.map_batches(rev_all, batch_format="pyarrow"), "o_orderkey", ["revenue"]
     ).materialize()
     agg = _inner_join(
@@ -1349,9 +1306,9 @@ def q5_region_revenue(
 
     # beyond-broadcast: per-order pre-aggregate shrinks the join input from
     # |lineitem| to |orders|, then the partitioned hash join
-    li_agg = _bucketed_key_fold(
+    li_agg = keyed_fold(
         li.map_batches(rev, batch_format="pyarrow"), "o_orderkey", ["rev"],
-        ccol="n_items",
+        count="n_items",
     ).materialize()
     joined = _inner_join(
         li_agg, orders_r.materialize(), n_left=li_agg.count(), on=("o_orderkey",),
@@ -1523,7 +1480,7 @@ def q10_returned_revenue(
             aggregator_ray_remote_args={"num_cpus": 0.25},
         )
     agg = (
-        _bucketed_key_fold(per_cust, "o_custkey", ["rev"])
+        keyed_fold(per_cust, "o_custkey", ["rev"])
         .map_batches(
             lambda t: _round_col(t.rename_columns(["o_custkey", "revenue"]),
                                  "revenue", 2),
@@ -2448,11 +2405,6 @@ SELECT d AS day, new_users,
 def events_cumulative_users(sf_dir: str) -> ray.data.Dataset:
     ev = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
-    from localhost_address_matching_ray.config import bucket_width
-    from localhost_address_matching_ray.functions.hashing import u64_bucket
-
-    nb = bucket_width()
-
     def first_touch(t: pa.Table) -> pa.Table:
         day = (
             pc.floor_temporal(t["ts"], unit="day")
@@ -2466,7 +2418,6 @@ def events_cumulative_users(sf_dir: str) -> ray.data.Dataset:
         return pa.table({
             "user_id": pa.array(uniq, pa.int64()),
             "d": pa.array(mind, pa.int64()),
-            "ub": pa.array(u64_bucket(uniq, nb)),
         })
 
     def bucket_first_days(g: pa.Table) -> pa.Table:
@@ -2485,9 +2436,8 @@ def events_cumulative_users(sf_dir: str) -> ray.data.Dataset:
         })
 
     daily = (
-        ev.map_batches(first_touch, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(bucket_first_days, batch_format="pyarrow")
+        bucket_fold(ev.map_batches(first_touch, batch_format="pyarrow"), "user_id",
+                    bucket_first_days)
         .groupby("d")
         .aggregate(Sum("new_users", alias_name="new_users"))
     )
@@ -2523,7 +2473,6 @@ WHERE NOT EXISTS (SELECT 1 FROM orders o
     "np.isin per bucket (stages/rel_ops.py)",
 )
 def customers_without_big_orders(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
     from localhost_address_matching_ray.stages.rel_ops import anti_join_keys
 
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal"])
@@ -2531,8 +2480,7 @@ def customers_without_big_orders(sf_dir: str) -> ray.data.Dataset:
         lambda t: t.filter(pc.greater(t["o_totalprice"], 450000.0)).select(["o_custkey"]),
         batch_format="pyarrow",
     )
-    return anti_join_keys(cust, big, key="c_custkey", right_key="o_custkey",
-                          bucket_width=bucket_width())
+    return anti_join_keys(cust, big, key="c_custkey", right_key="o_custkey")
 
 
 @register(
@@ -2678,7 +2626,6 @@ WHERE EXISTS (SELECT 1 FROM orders o
     "key-membership shuffle as the anti join, mask inverted",
 )
 def customers_with_urgent_orders(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
     from localhost_address_matching_ray.stages.rel_ops import semi_join_keys
 
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_name", "c_mktsegment"])
@@ -2686,8 +2633,7 @@ def customers_with_urgent_orders(sf_dir: str) -> ray.data.Dataset:
         lambda t: t.filter(pc.equal(t["o_orderpriority"], "1-URGENT")).select(["o_custkey"]),
         batch_format="pyarrow",
     )
-    return semi_join_keys(cust, urgent, key="c_custkey", right_key="o_custkey",
-                          bucket_width=bucket_width())
+    return semi_join_keys(cust, urgent, key="c_custkey", right_key="o_custkey")
 
 
 @register(
@@ -2932,9 +2878,6 @@ FROM corpus GROUP BY repo""",
     "runs per hash(repo) bucket on that vocabulary-sized table",
 )
 def repo_lang_profile(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
-    from localhost_address_matching_ray.functions.hashing import u64_bucket
-
     ds = corpus_from_documents(sf_dir)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -2947,19 +2890,6 @@ def repo_lang_profile(sf_dir: str) -> ray.data.Dataset:
     cnt = ds.map_batches(partial, batch_format="pyarrow").groupby(
         ["repo", "lang"]
     ).aggregate(Sum("c", alias_name="c"))
-    nb = bucket_width()
-
-    def tag(t: pa.Table) -> pa.Table:
-        from localhost_address_matching_ray.functions.hashing import _token_hash64
-
-        # deterministic hash (NOT builtin hash(): per-process salt would
-        # scatter one repo across buckets); vocab-sized via dictionary
-        enc = t["repo"].combine_chunks().dictionary_encode()
-        h_uniq = np.array(
-            [_token_hash64(u) for u in enc.dictionary.to_pylist()], np.uint64
-        )
-        h = h_uniq[enc.indices.to_numpy(zero_copy_only=False)]
-        return t.append_column("rb", pa.array(u64_bucket(h, nb)))
 
     def concat(g: pa.Table) -> pa.Table:
         repo = g["repo"].to_numpy(zero_copy_only=False).astype("U")
@@ -2979,9 +2909,7 @@ def repo_lang_profile(sf_dir: str) -> ray.data.Dataset:
             "n_files": pa.array(np.add.reduceat(c, starts) if len(c) else [], pa.int64()),
         })
 
-    return cnt.map_batches(tag, batch_format="pyarrow").groupby("rb").map_groups(
-        concat, batch_format="pyarrow"
-    )
+    return bucket_fold(cnt, "repo", concat)
 
 
 @register(
@@ -3004,16 +2932,8 @@ SELECT user_id, event_type AS top_type, n_events FROM r WHERE rn = 1""",
     "second pass over raw events",
 )
 def user_top_event_type(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
-    from localhost_address_matching_ray.functions.hashing import u64_bucket
-
     ev = read_table(sf_dir, "events", columns=["user_id", "event_type"])
     cnt = ev.groupby(["user_id", "event_type"]).aggregate(Count(alias_name="n_events"))
-    nb = bucket_width()
-
-    def tag(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("ub", pa.array(u64_bucket(uid, nb)))
 
     def top1(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy(zero_copy_only=False)
@@ -3031,9 +2951,7 @@ def user_top_event_type(sf_dir: str) -> ray.data.Dataset:
             "n_events": pa.array(n[first], pa.int64()),
         })
 
-    return cnt.map_batches(tag, batch_format="pyarrow").groupby("ub").map_groups(
-        top1, batch_format="pyarrow"
-    )
+    return bucket_fold(cnt, "user_id", top1)
 
 
 @register(
@@ -3087,17 +3005,8 @@ FROM e GROUP BY user_id""",
     "bucket (one lexsort + diff/reduceat pass, no per-user Python)",
 )
 def events_user_sessions(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
-
     ev = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id"])
     gap_us = 30 * 60 * 1_000_000
-    from localhost_address_matching_ray.functions.hashing import u64_bucket
-
-    nb = bucket_width()
-
-    def tag(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("ub", pa.array(u64_bucket(uid, nb)))
 
     def sessions_bucket(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
@@ -3123,9 +3032,7 @@ def events_user_sessions(sf_dir: str) -> ray.data.Dataset:
             ),
         })
 
-    return ev.map_batches(tag, batch_format="pyarrow").groupby("ub").map_groups(
-        sessions_bucket, batch_format="pyarrow"
-    )
+    return bucket_fold(ev, "user_id", sessions_bucket)
 
 
 @register(
@@ -3146,14 +3053,13 @@ FROM p ASOF LEFT JOIN c1 ON p.user_id = c1.user_id AND p.ts >= c1.ts""",
     "the LEFT semantics hash deterministically",
 )
 def events_asof_join(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
     from localhost_address_matching_ray.stages.events_ops import asof_join_events
 
     ev = read_table(
         sf_dir, "events",
         columns=["event_id", "user_id", "ts", "event_type", "value"],
     )
-    return asof_join_events(ev, bucket_width=bucket_width())
+    return asof_join_events(ev)
 
 
 @register(
@@ -3169,11 +3075,10 @@ FROM events a JOIN events b
     "repeat/cumsum pair materialization (no nested-loop join)",
 )
 def events_range_join(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
     from localhost_address_matching_ray.stages.events_ops import range_join_events
 
     ev = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    return range_join_events(ev, bucket_width=bucket_width())
+    return range_join_events(ev)
 
 
 @register(
@@ -3191,11 +3096,10 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)""",
     "addition order can't drift from SQL's windowed SUM",
 )
 def events_user_running_stats(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
     from localhost_address_matching_ray.stages.events_ops import running_stats_events
 
     ev = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    return running_stats_events(ev, bucket_width=bucket_width())
+    return running_stats_events(ev)
 
 
 @register(
@@ -3214,11 +3118,10 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
     "IEEE division is bit-exact against DuckDB's segment-tree window",
 )
 def events_user_moving_avg(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
     from localhost_address_matching_ray.stages.events_ops import moving_avg_events
 
     ev = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    return moving_avg_events(ev, preceding=3, bucket_width=bucket_width())
+    return moving_avg_events(ev, preceding=3)
 
 
 #: seed gazetteer over the documents vocabulary (the Turkey.add analog —
@@ -3320,11 +3223,10 @@ FROM f""",
     "two-level FILTERed aggregate without any per-event shuffle",
 )
 def events_funnel(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
     from localhost_address_matching_ray.stages.events_ops import funnel_events
 
     ev = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    return funnel_events(ev, bucket_width=bucket_width())
+    return funnel_events(ev)
 
 
 @register(
@@ -3435,6 +3337,27 @@ def events_daily_approx_users(sf_dir: str) -> ray.data.Dataset:
     )
 
 
+_DAY_US = 86_400_000_000
+
+
+def _user_days(t: pa.Table) -> pa.Table:
+    """Batch-local distinct (user_id, day) pairs of an events batch, days
+    counted from the epoch: a user fold ships at most one row per user-day
+    per batch, not one per event."""
+    uid = t["user_id"].to_numpy(zero_copy_only=False)
+    ts = t["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]")
+    day = ts.astype(np.int64) // _DAY_US
+    order = np.lexsort((day, uid))
+    uid, day = uid[order], day[order]
+    keep = np.concatenate(
+        ([True], (uid[1:] != uid[:-1]) | (day[1:] != day[:-1]))
+    ) if len(uid) else np.empty(0, dtype=bool)
+    return pa.table({
+        "user_id": pa.array(uid[keep], pa.int64()),
+        "day": pa.array(day[keep], pa.int64()),
+    })
+
+
 @register(
     "events_daily_distinct_users",
     """
@@ -3449,30 +3372,7 @@ FROM events GROUP BY 1""",
     "never shuffle and the driver never sees per-user rows",
 )
 def events_daily_distinct_users(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
-    from localhost_address_matching_ray.functions.hashing import u64_bucket
-
     ev = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    nb = bucket_width()
-    day_us = 86_400_000_000
-
-    def tag(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        day = (
-            t["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64) // day_us
-        )
-        order = np.lexsort((day, uid))
-        uid, day = uid[order], day[order]
-        keep = np.concatenate(
-            ([True], (uid[1:] != uid[:-1]) | (day[1:] != day[:-1]))
-        ) if len(uid) else np.empty(0, dtype=bool)
-        uid, day = uid[keep], day[keep]
-        return pa.table({
-            "user_id": pa.array(uid, pa.int64()),
-            "day": pa.array(day, pa.int64()),
-            "ub": pa.array(u64_bucket(uid, nb)),
-        })
 
     def count_bucket(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
@@ -3499,14 +3399,14 @@ def events_daily_distinct_users(sf_dir: str) -> ray.data.Dataset:
             uniq_days, counts = np.unique(day[keep], return_counts=True)
         return pa.table({
             "day": pa.array(
-                (uniq_days * day_us).astype("datetime64[us]")
+                (uniq_days * _DAY_US).astype("datetime64[us]")
             ),
             "n": pa.array(counts, pa.int64()),
         })
 
     return (
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("ub").map_groups(count_bucket, batch_format="pyarrow")
+        bucket_fold(ev.map_batches(_user_days, batch_format="pyarrow"), "user_id",
+                    count_bucket)
         .groupby("day").aggregate(Sum("n", alias_name="n_users"))
     )
 
@@ -4416,32 +4316,7 @@ GROUP BY 1, 2""",
     "|days|²/2-sized, driver never sees per-user rows",
 )
 def events_cohort_retention(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
-    from localhost_address_matching_ray.functions.hashing import u64_bucket
-
     ev = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    nb = bucket_width()
-    day_us = 86_400_000_000
-
-    def tag(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        day = (
-            t["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64) // day_us
-        )
-        # batch-local distinct (user, day): the shuffle ships at most one
-        # row per user-day per batch, not one per event
-        order = np.lexsort((day, uid))
-        uid, day = uid[order], day[order]
-        keep = np.concatenate(
-            ([True], (uid[1:] != uid[:-1]) | (day[1:] != day[:-1]))
-        ) if len(uid) else np.empty(0, dtype=bool)
-        uid, day = uid[keep], day[keep]
-        return pa.table({
-            "user_id": pa.array(uid, pa.int64()),
-            "day": pa.array(day, pa.int64()),
-            "ub": pa.array(u64_bucket(uid, nb)),
-        })
 
     def retention_bucket(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
@@ -4468,15 +4343,15 @@ def events_cohort_retention(sf_dir: str) -> ray.data.Dataset:
         uniq, counts = np.unique(code, return_counts=True)
         return pa.table({
             "cohort_day": pa.array(
-                ((uniq >> 20) * day_us).astype("datetime64[us]")
+                ((uniq >> 20) * _DAY_US).astype("datetime64[us]")
             ),
             "day_offset": pa.array(uniq & ((1 << 20) - 1), pa.int64()),
             "n": pa.array(counts, pa.int64()),
         })
 
     return (
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("ub").map_groups(retention_bucket, batch_format="pyarrow")
+        bucket_fold(ev.map_batches(_user_days, batch_format="pyarrow"), "user_id",
+                    retention_bucket)
         .groupby(["cohort_day", "day_offset"])
         .aggregate(Sum("n", alias_name="n_users"))
     )
@@ -4505,17 +4380,9 @@ FROM s WHERE prev_type IS NOT NULL GROUP BY prev_type, next_type""",
     "≤|types|² partials into a tiny final groupby",
 )
 def events_type_transitions(sf_dir: str) -> ray.data.Dataset:
-    from localhost_address_matching_ray.config import bucket_width
-    from localhost_address_matching_ray.functions.hashing import u64_bucket
-
     ev = read_table(
         sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"]
     )
-    nb = bucket_width()
-
-    def tag(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("ub", pa.array(u64_bucket(uid, nb)))
 
     def trans_bucket(g: pa.Table) -> pa.Table:
         empty = pa.table({
@@ -4585,8 +4452,7 @@ def events_type_transitions(sf_dir: str) -> ray.data.Dataset:
         })
 
     return (
-        ev.map_batches(tag, batch_format="pyarrow")
-        .groupby("ub").map_groups(trans_bucket, batch_format="pyarrow")
+        bucket_fold(ev, "user_id", trans_bucket)
         .groupby(["prev_type", "next_type"])
         .aggregate(Sum("n", alias_name="n_transitions"))
         .map_batches(unsentinel, batch_format="pyarrow")
@@ -4621,44 +4487,19 @@ def q18_big_orders(
         ("total_qty", pa.int64()),
     ])
     li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
-    from localhost_address_matching_ray.config import bucket_width
-    from localhost_address_matching_ray.functions.hashing import u64_bucket
 
-    nb = bucket_width()
+    def qty(t: pa.Table) -> pa.Table:
+        # exact int64 per-order totals: quantities are integral
+        q = np.rint(t["l_quantity"].to_numpy(zero_copy_only=False)).astype(np.int64)
+        return pa.table({"l_orderkey": t["l_orderkey"], "total_qty": q})
 
-    def qty_partial(t: pa.Table) -> pa.Table:
-        ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        q = np.rint(
-            t["l_quantity"].to_numpy(zero_copy_only=False)
-        ).astype(np.int64)
-        uniq, inv = np.unique(ok, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, q)
-        return pa.table({
-            "l_orderkey": pa.array(uniq, pa.int64()),
-            "qty": pa.array(sums, pa.int64()),
-            "ub": pa.array(u64_bucket(uniq, nb)),
-        })
-
-    def bucket_agg(g: pa.Table) -> pa.Table:
-        # exact int64 per-order totals + the HAVING filter, one vectorized
-        # pass per bucket — the bucketed-groupby idiom (sort-shuffle over
-        # nb bucket keys instead of |orders| distinct orderkeys: measured
-        # 5× on this aggregate at sf0.1)
-        ok = g["l_orderkey"].to_numpy(zero_copy_only=False)
-        q = g["qty"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(ok, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, q)
-        keep = sums > int(qty_threshold)
-        return pa.table({
-            "l_orderkey": pa.array(uniq[keep], pa.int64()),
-            "total_qty": pa.array(sums[keep], pa.int64()),
-        })
+    def having(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater(t["total_qty"], int(qty_threshold)))
 
     per_order = (
-        li.map_batches(qty_partial, batch_format="pyarrow")
-        .groupby("ub").map_groups(bucket_agg, batch_format="pyarrow")
+        keyed_fold(li.map_batches(qty, batch_format="pyarrow"), "l_orderkey",
+                   ["total_qty"])
+        .map_batches(having, batch_format="pyarrow")
         .materialize()
     )
     n_big = per_order.count()

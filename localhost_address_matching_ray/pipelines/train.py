@@ -32,6 +32,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 
+from localhost_address_matching_ray.stages.buckets import bucket_fold
 from localhost_address_matching_ray.stages.tagger import EntityTagger
 
 
@@ -79,18 +80,6 @@ def fit_tagger_rules(
     sorted by type name; alternation members by (-n, token).
     """
 
-    from localhost_address_matching_ray.config import bucket_width
-    from localhost_address_matching_ray.functions.hashing import TokenHasher, u64_bucket
-
-    hasher = TokenHasher()
-    nb = bucket_width()
-
-    def tag_bucket(t: pa.Table) -> pa.Table:
-        # bucket by token-hash so one token's counts co-locate; vote runs
-        # vectorized over a whole bucket, never one call per token
-        th = hasher.hash_token_array(t["token"])
-        return t.append_column("vb", pa.array(u64_bucket(th, nb)))
-
     def vote_bucket(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             return _EMPTY_VOCAB
@@ -122,12 +111,9 @@ def fit_tagger_rules(
             "purity": pa.array(purity[keep], pa.float64()),
         })
 
-    vocab_ds = (
-        token_type_counts(labeled)
-        .map_batches(tag_bucket, batch_format="pyarrow")
-        .groupby("vb")
-        .map_groups(vote_bucket, batch_format="pyarrow")
-    )
+    # one token's counts co-locate in its bucket; the vote runs vectorized
+    # over a whole bucket, never one call per token
+    vocab_ds = bucket_fold(token_type_counts(labeled), "token", vote_bucket)
     parts = [ray.get(ref) for ref in vocab_ds.to_arrow_refs()]
     parts = [p for p in parts if p.num_rows]
     vocab = pa.concat_tables(parts) if parts else _EMPTY_VOCAB
@@ -230,11 +216,11 @@ def doc_token_type_counts(
 # Distributed shape per merge iteration (nothing corpus-sized after the
 # initial word count):
 #   word table (symbols list<string>, n)   — stays a distributed Dataset
-#     → map_batches: adjacent-pair partial counts, bucketed by hash(pair)
-#     → groupby(bucket).map_groups: exact per-pair totals (a pair lives in
-#       exactly one bucket) folded by Arrow group_by; emit ONE top row per
-#       bucket (max count, ties → lexicographically smallest pair)
-#     → driver argmax over ≤ bucket_width() candidate rows
+#     → map_batches: adjacent-pair partial counts
+#     → bucket_fold keyed on the pair: exact per-pair totals (a pair lives
+#       in exactly one bucket) folded by Arrow group_by; emit ONE top row
+#       per bucket (max count, ties → lexicographically smallest pair)
+#     → driver argmax over ≤ one candidate row per bucket
 #     → map_batches: apply the merge to every word's symbol sequence
 # The driver only ever holds the merge list (the model artifact) and one
 # candidate row per bucket — never words, never the corpus.
@@ -247,15 +233,10 @@ def _word_symbols(word: str) -> list[str]:
 def word_frequency_table(docs: ray.data.Dataset) -> ray.data.Dataset:
     """documents(text) → distributed (word, n) counts over the normalized,
     lowercased, whitespace-split text — per-batch Arrow group-by combiners,
-    then a hash(word)-bucketed exact fold (the repo_lang_profile idiom)."""
-    from localhost_address_matching_ray.config import bucket_width
-    from localhost_address_matching_ray.functions.hashing import TokenHasher
+    then a hash-bucket fold by word (the repo_lang_profile idiom)."""
     from localhost_address_matching_ray.functions.normalize import (
         normalize_content_arrow,
     )
-
-    nb = bucket_width()
-    _state: dict = {}
 
     def partial(t: pa.Table) -> pa.Table:
         norm = pc.utf8_lower(normalize_content_arrow(t["text"]))
@@ -268,28 +249,19 @@ def word_frequency_table(docs: ray.data.Dataset) -> ray.data.Dataset:
             return pa.table({
                 "word": pa.array([], pa.string()),
                 "n": pa.array([], pa.int64()),
-                "ub": pa.array([], pa.int64()),
             })
-        cnt = pa.table({"word": flat}).group_by("word").aggregate(
+        return pa.table({"word": flat}).group_by("word").aggregate(
             [([], "count_all")]
         ).rename_columns(["word", "n"])
-        hasher = _state.setdefault("h", TokenHasher())
-        ub = hasher.hash_token_array(cnt["word"].combine_chunks()) % np.uint64(nb)
-        return cnt.append_column("ub", pa.array(ub.astype(np.int64)))
 
     def fold(g: pa.Table) -> pa.Table:
-        out = g.select(["word", "n"]).group_by("word").aggregate([("n", "sum")])
-        return out.rename_columns(["word", "n"])
+        return g.group_by("word").aggregate([("n", "sum")]).rename_columns(["word", "n"])
 
-    return (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return bucket_fold(docs.map_batches(partial, batch_format="pyarrow"), "word", fold)
 
 
-def _pair_counts_batch(t: pa.Table, nb: int) -> pa.Table:
-    """(symbols, n) batch → (a, b, c, ub) adjacent-pair partial counts."""
+def _pair_counts_batch(t: pa.Table) -> pa.Table:
+    """(symbols, n) batch → (a, b, c) adjacent-pair partial counts."""
     counts: dict = {}
     ns = t["n"].to_numpy(zero_copy_only=False)
     for syms, n in zip(t["symbols"].to_pylist(), ns):
@@ -299,25 +271,14 @@ def _pair_counts_batch(t: pa.Table, nb: int) -> pa.Table:
     if not counts:
         return pa.table({
             "a": pa.array([], pa.string()), "b": pa.array([], pa.string()),
-            "c": pa.array([], pa.int64()), "ub": pa.array([], pa.int64()),
+            "c": pa.array([], pa.int64()),
         })
     pairs = list(counts)
-    ub = [hash_pair(a, b) % nb for a, b in pairs]
     return pa.table({
         "a": pa.array([p[0] for p in pairs], pa.string()),
         "b": pa.array([p[1] for p in pairs], pa.string()),
         "c": pa.array([counts[p] for p in pairs], pa.int64()),
-        "ub": pa.array(ub, pa.int64()),
     })
-
-
-def hash_pair(a: str, b: str) -> int:
-    """Deterministic (process-independent) bucket hash for a symbol pair."""
-    import hashlib
-
-    return int.from_bytes(
-        hashlib.sha256((a + "\x00" + b).encode("utf-8")).digest()[:8], "big"
-    )
 
 
 def _bucket_top_pair(g: pa.Table) -> pa.Table:
@@ -329,7 +290,7 @@ def _bucket_top_pair(g: pa.Table) -> pa.Table:
     })
     if g.num_rows == 0:
         return empty
-    tot = g.select(["a", "b", "c"]).group_by(["a", "b"]).aggregate(
+    tot = g.group_by(["a", "b"]).aggregate(
         [("c", "sum")]
     ).rename_columns(["a", "b", "c"])
     c = tot["c"].to_numpy(zero_copy_only=False)
@@ -351,9 +312,6 @@ def bpe_learn(
     driver holds) and words is the final segmented word table
     ``(word, symbols, n)``. Stops early when no pair reaches
     ``min_pair_count``."""
-    from localhost_address_matching_ray.config import bucket_width
-
-    nb = bucket_width()
     words = word_frequency_table(docs).map_batches(
         lambda t: pa.table({
             "word": t["word"],
@@ -369,14 +327,10 @@ def bpe_learn(
     merges: list[tuple[str, str, int]] = []
     for _ in range(n_merges):
         cand_tbls = [
-            t for t in ray.get(
-                words.map_batches(
-                    lambda t: _pair_counts_batch(t, nb), batch_format="pyarrow"
-                )
-                .groupby("ub")
-                .map_groups(_bucket_top_pair, batch_format="pyarrow")
-                .to_arrow_refs()
-            ) if t.num_columns > 0
+            t for t in ray.get(bucket_fold(
+                words.map_batches(_pair_counts_batch, batch_format="pyarrow"),
+                ["a", "b"], _bucket_top_pair,
+            ).to_arrow_refs()) if t.num_columns > 0
         ]
         if not cand_tbls:
             break

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
 
 from localhost_address_matching_ray.functions.hashing import sha256_hex_array
@@ -25,8 +26,14 @@ _LANG_CODE = {"en": "python", "de": "javascript", "fr": "go", "es": "java", "zh"
 
 
 def read_table(sf_dir: str, name: str, columns: list[str] | None = None) -> ray.data.Dataset:
-    """Pruned Parquet read of one sandbox table."""
-    return ray.data.read_parquet(os.path.join(sf_dir, f"{name}.parquet"), columns=columns)
+    """Pruned Parquet read of one sandbox table, its blocks built by the read
+    task with the file's schema minus its metadata (the writer's ``pandas``
+    block): in pyarrow 16.1 ``hash()`` of a schema with metadata raises, so
+    every block that carried it made Ray's schema dedup log a failure."""
+    path = os.path.join(sf_dir, f"{name}.parquet")
+    file_schema = pq.read_schema(path)
+    schema = pa.schema([file_schema.field(c) for c in columns or file_schema.names])
+    return ray.data.read_parquet(path, columns=columns, schema=schema)
 
 
 def _derive_corpus_batch(batch: pa.Table) -> pa.Table:

@@ -5,7 +5,8 @@ baseline — the query matrix is broadcast once via ``ray.put``, fetched once
 per worker process by stateless tasks (``stages/broadcast.cached_get``), and
 every batch does one float64 matmul against it (never re-shipped per batch);
 an LSH-bucketed variant (random hyperplane signs → bucket key) is the scale
-path, trading exactness for a ``groupby(bucket)`` instead of all-pairs.
+path, trading exactness for a hash-bucket fold over bucket keys instead of
+all-pairs.
 
 Scores are rounded to 6 decimals and ranked on the rounded value with
 ``vec_id`` tie-break so results are reproducible against a DuckDB
@@ -26,6 +27,7 @@ from localhost_address_matching_ray.stages.broadcast import (
     fetch_sorted,
     involved_ids,
 )
+from localhost_address_matching_ray.stages.buckets import bucket_fold
 from localhost_address_matching_ray.stages.pairs import distinct_pairs
 
 
@@ -317,7 +319,7 @@ _LSH_P1 = np.uint64(0x9E3779B97F4A7C15)
 _LSH_P2 = np.uint64(0xBF58476D1CE4E5B9)
 _LSH_P3 = np.uint64(0x94D049BB133111EB)
 
-def _hyperplane_keyer_factory(planes_ref, n_buckets: int):
+def _hyperplane_keyer_factory(planes_ref):
     """Stateless-task random-hyperplane LSH bucket keys for cosine
     similarity over the broadcast ``(n_tables, n_planes, dim)`` plane array,
     fetched once per worker process — KEY-ONLY emission (the
@@ -329,14 +331,8 @@ def _hyperplane_keyer_factory(planes_ref, n_buckets: int):
     hyperplanes built once on the driver). Two vectors with cosine ≥ t
     share a bucket in at least one table with probability
     1 − (1 − (1 − θ/π)^n_planes)^n_tables. Each row emits ``n_tables``
-    rows of (vec_id, bucket_key uint64, bucket) — 20 B — built in one
-    vectorized pass (sign matmul → power-of-two dot → splitmix finalize).
-
-    ``n_buckets`` MUST be resolved on the driver and captured here:
-    config.bucket_width() evaluated on workers of an autoscaling cluster
-    could disagree across tasks — same bucket_key, different bucket →
-    silently dropped pairs."""
-    nb = np.uint64(n_buckets)
+    rows of (vec_id, bucket_key uint64) — 16 B — built in one vectorized
+    pass (sign matmul → power-of-two dot → splitmix finalize)."""
 
     def key_batch(batch: pa.Table) -> pa.Table:
         planes = cached_get(planes_ref)
@@ -359,7 +355,6 @@ def _hyperplane_keyer_factory(planes_ref, n_buckets: int):
         return pa.table({
             "vec_id": pa.array(np.tile(ids, n_tables), pa.int64()),
             "bucket_key": pa.array(kh, pa.uint64()),
-            "bucket": pa.array((kh % nb).astype(np.int32), pa.int32()),
         })
 
     return key_batch
@@ -403,8 +398,6 @@ def lsh_cosine_pairs(
     vectors; the remaining tables cover the ring)."""
     import logging
 
-    from localhost_address_matching_ray.config import bucket_width
-
     logger = logging.getLogger(__name__)
     emb = embeddings.select_columns(["vec_id", "embedding"]).materialize()
     n_rows = emb.count()
@@ -426,14 +419,11 @@ def lsh_cosine_pairs(
         np.random.RandomState(97).randn(n_tables, n_planes, dim)
     )
     keyed = emb.map_batches(
-        # bucket width resolved HERE on the driver (config.bucket_width's
-        # contract) so every task shares one modulus
-        _hyperplane_keyer_factory(planes_ref, bucket_width()),
-        batch_format="pyarrow", batch_size=4096,
+        _hyperplane_keyer_factory(planes_ref), batch_format="pyarrow", batch_size=4096,
     )
 
     def verify_bucket(group: pa.Table) -> pa.Table:
-        """One 64-way bucket of (vec_id, bucket_key) rows: runs of equal key
+        """One hash bucket of (vec_id, bucket_key) rows: runs of equal key
         are found by numpy diff (no per-key groupby); each run gathers its
         vectors from the broadcast bundle and does one exact cosine matrix."""
         empty = pa.table({
@@ -489,9 +479,9 @@ def lsh_cosine_pairs(
             "score": pa.array(s[keep], pa.float64()),
         })
 
-    raw = keyed.groupby("bucket").map_groups(verify_bucket, batch_format="pyarrow")
+    raw = bucket_fold(keyed, "bucket_key", verify_bucket)
     # scores of one pair from different tables can differ in the last ulp
-    return distinct_pairs(raw, bucket_width(), keep_max="score")
+    return distinct_pairs(raw, keep_max="score")
 
 
 def _centroid_sample(embeddings: ray.data.Dataset, sample_cap: int) -> pa.Table:
@@ -603,8 +593,6 @@ def ivf_cosine_pairs(
     """
     import logging
 
-    from localhost_address_matching_ray.config import bucket_width
-
     logger = logging.getLogger(__name__)
     slim = embeddings.select_columns(["vec_id", "embedding"]).materialize()
     if slim.count() == 0:
@@ -646,7 +634,7 @@ def ivf_cosine_pairs(
     raw_pairs = assigned.groupby("cell").map_groups(
         cell_pairs, batch_format="pyarrow"
     )
-    pairs = distinct_pairs(raw_pairs, bucket_width()).materialize()
+    pairs = distinct_pairs(raw_pairs).materialize()
     involved = involved_ids(pairs)
     if len(involved) == 0:
         return _empty_pairs()

@@ -14,11 +14,10 @@ maximizes recall; pair dedup collapses the overlap.
 
 **Bucketed shuffles.** Ray's ``groupby`` on a high-cardinality key pays a
 per-key cost that dwarfs the actual counting, so every blocking shuffle here
-groups on ``bucket = key_hash % census_buckets`` — a low-cardinality column —
-and does the real per-key work *vectorized inside the bucket* (numpy
-sort/diff). All rows of a key land in one bucket by construction, so
-per-key semantics are preserved while the shuffle machinery only ever sees
-``census_buckets`` groups.
+is a hash-bucket fold over the key hash (``stages.buckets.bucket_fold``):
+the shuffle sorts only the fold's few bucket tags, and the real per-key
+work runs *vectorized inside the bucket* (numpy sort/diff). All rows of a
+key land in one bucket by construction, so per-key semantics are preserved.
 
 Skew handling is two-pass:
 
@@ -47,11 +46,12 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from localhost_address_matching_ray.config import PipelineConfig, bucket_width
+from localhost_address_matching_ray.config import PipelineConfig
 from localhost_address_matching_ray.functions.arrowbuf import (
     binary_col_matrix,
     hex16_col_to_u64,
 )
+from localhost_address_matching_ray.stages.buckets import bucket_fold
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
@@ -102,10 +102,6 @@ def block_size_census(
     still surfaces at ~size/div with overwhelming probability, and the
     shuffle shrinks by the same factor. ``n`` in the output is the
     scaled-back estimate. Pass ``sample_div=1`` for exact counts."""
-    # `or bucket_width()`: a config built before ray.init() carries the 0
-    # sentinel (config.py) — resolve it here on the driver for direct
-    # library callers that bypass link_corpus
-    buckets = config.census_buckets or bucket_width()
     div = sample_div if sample_div is not None else config.census_sample_div
 
     def flatten(batch: pa.Table) -> pa.Table:
@@ -128,7 +124,6 @@ def block_size_census(
         return pa.table({
             "kh": pa.array(uniq, pa.uint64()),
             "n": pa.array(counts.astype(np.int64), pa.int64()),
-            "bucket": pa.array((uniq % np.uint64(buckets)).astype(np.int32), pa.int32()),
         })
 
     def count_bucket(group: pa.Table) -> pa.Table:
@@ -151,7 +146,7 @@ def block_size_census(
         # few MB of extra task heap
         flatten, batch_format="pyarrow", batch_size=config.batch_size * 4
     )
-    return keys.groupby("bucket").map_groups(count_bucket, batch_format="pyarrow")
+    return bucket_fold(keys, "kh", count_bucket)
 
 
 def find_hot_keys(block_sizes: ray.data.Dataset, config: PipelineConfig) -> dict[int, int]:
@@ -213,7 +208,7 @@ def find_multi_keys(block_sizes: ray.data.Dataset) -> np.ndarray:
 
 
 class _PayloadEmitter:
-    """Pass 2: (block_key, bucket, rid, sigp, sigp2) with salting — KEY-ONLY
+    """Pass 2: (block_key, rid, sigp, sigp2, sigf) with salting — KEY-ONLY
     emission (candidates-then-verify: signatures are fetched for surviving
     candidate pairs in a separate narrow pass). ``rid`` is the 16-hex row_id
     as ONE uint64 (big-endian view preserves lexicographic order), so a key
@@ -333,9 +328,6 @@ class _PayloadEmitter:
 
         return pa.table({
             "block_key": pa.array(key_arr, pa.uint64()),
-            "bucket": pa.array(
-                (key_arr % np.uint64(cfg.census_buckets)).astype(np.int32), pa.int32()
-            ),
             # i_arr may be empty (all emissions suppressed as singletons);
             # indexing with an empty array yields correct 0-row columns.
             "rid": pa.array(rids[i_arr], pa.uint64()),
@@ -356,12 +348,6 @@ def emit_block_rows(
     dropped BEFORE the shuffle; without it, they are dropped vectorized
     inside the pair stage's bucket groups — either way they never cost
     per-group Python calls."""
-    if config.census_buckets <= 0:
-        # pre-ray.init() config sentinel (config.py) — resolve on the
-        # driver before the config ships into the emitter actors
-        from dataclasses import replace
-
-        config = replace(config, census_buckets=bucket_width())
     hk = np.array(sorted((hot_keys or {}).keys()), dtype=np.uint64)
     hs = np.array([(hot_keys or {})[int(k)] for k in hk], dtype=np.int64)
     hot_ref = ray.put((hk, hs))

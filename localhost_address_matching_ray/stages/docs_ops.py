@@ -38,6 +38,7 @@ from localhost_address_matching_ray.functions.normalize import normalize_content
 from localhost_address_matching_ray.functions.similarity import duckdb_round
 from localhost_address_matching_ray.functions.text import quality_features
 from localhost_address_matching_ray.stages.broadcast import cached_get, fetch_sorted
+from localhost_address_matching_ray.stages.buckets import bucket_fold
 from localhost_address_matching_ray.stages.pairs import (
     _binary_u64_parts,
     _intersection_counts,
@@ -269,8 +270,7 @@ _BK_P3 = np.uint64(0x94D049BB133111EB)
 
 
 def _doc_band_keyer_factory(num_perm: int, bands: int, k: int,
-                            minhash_mode: str = "oph",
-                            n_buckets: int | None = None):
+                            minhash_mode: str = "oph"):
     """MinHash LSH band keys for documents — KEY-ONLY emission.
 
     The candidates-then-verify shape (flagship lesson, round 1: carrying
@@ -284,9 +284,6 @@ def _doc_band_keyer_factory(num_perm: int, bands: int, k: int,
     """
     import hashlib
 
-    from localhost_address_matching_ray.config import bucket_width
-
-    nb = np.uint64(n_buckets or bucket_width())
     skey = ("band", num_perm, k)
     r = num_perm // bands
     band_mix = (np.arange(bands, dtype=np.uint64) + np.uint64(1)) * _BK_P2
@@ -353,17 +350,16 @@ def _doc_band_keyer_factory(num_perm: int, bands: int, k: int,
                 pa.int64(),
             ),
             "band_key": pa.array(kh, pa.uint64()),
-            "bucket": pa.array((kh % nb).astype(np.int32), pa.int32()),
         })
 
     return emit
 
 
 def _distinct_pairs_bucket(group: pa.Table, key_col: str, max_band_rows: int = 4096) -> pa.Table:
-    """One 64-way bucket of (id, key) rows → distinct candidate pairs.
+    """One hash bucket of (id, key) rows → distinct candidate pairs.
 
-    Whole key-blocks colocate here (bucket = key % 64); runs of equal key are
-    found by numpy diff — no per-key Python group calls (the
+    Whole key-blocks colocate here (the fold is keyed on the key); runs of
+    equal key are found by numpy diff — no per-key Python group calls (the
     high-cardinality-groupby floor lesson). Pairs are deduped within the
     bucket via np.unique, so the downstream verify never sees band-level
     duplicates."""
@@ -451,8 +447,8 @@ def minhash_lsh_pairs(
         _doc_band_keyer_factory(num_perm, bands, shingle_k, minhash_mode),
         batch_format="pyarrow", batch_size=2048,
     )
-    cand = band_rows.groupby("bucket").map_groups(
-        lambda g: _distinct_pairs_bucket(g, "band_key"), batch_format="pyarrow"
+    cand = bucket_fold(
+        band_rows, "band_key", lambda g: _distinct_pairs_bucket(g, "band_key")
     )
     pairs = _collect_distinct_pairs(cand)
     empty = pa.table({
@@ -805,10 +801,6 @@ def simhash_pairs(
     fingerprints — exact-dedup territory) or at the depth cap.
     """
 
-    from localhost_address_matching_ray.config import bucket_width
-
-    nb = np.uint64(bucket_width())
-
     def hasher(batch: pa.Table) -> pa.Table:
             import hashlib
 
@@ -852,7 +844,6 @@ def simhash_pairs(
             return pa.table({
                 "doc_id": pa.array(np.concatenate(out_id), pa.int64()),
                 "key": pa.array(kh, pa.uint64()),
-                "bucket": pa.array((kh % nb).astype(np.int32), pa.int32()),
                 "simhash": pa.array(np.concatenate(out_sh), pa.uint64()),
                 "blk": pa.array(np.concatenate(out_blk), pa.int32()),
             })
@@ -912,11 +903,11 @@ def simhash_pairs(
             "hamming": pa.array(arr[:, 2], pa.int64()),
         })
 
-    raw = keyed.groupby("bucket").map_groups(verify_bucket, batch_format="pyarrow")
+    raw = bucket_fold(keyed, "key", verify_bucket)
 
     # cross-bucket dedup (a pair can match via blocks landing in different
     # buckets); duplicates carry equal Hamming distances
-    return distinct_pairs(raw, int(nb))
+    return distinct_pairs(raw)
 
 
 # --------------------------------------------------------------------------
@@ -1169,11 +1160,6 @@ def bigram_lift(
     from localhost_address_matching_ray.functions.normalize import normalize_content_arrow
     from localhost_address_matching_ray.stages.cluster import _collect, _partitions_for
 
-    from localhost_address_matching_ray.config import bucket_width
-    from localhost_address_matching_ray.functions.hashing import TokenHasher
-
-    nb = bucket_width()
-
     def partial(batch: pa.Table) -> pa.Table:
         norm = pc.utf8_lower(normalize_content_arrow(batch["text"]))
         lists = pc.split_pattern(norm, pattern=" ")
@@ -1206,41 +1192,25 @@ def bigram_lift(
             pa.array(np.full(n_u, ""), pa.string()),
             dic.take(pa.array(bkey % n_u)),
         ])
-        # bucket by token-content hash (process-memoized sha256 over the
-        # SMALL per-batch dictionary) so equal (x,y) keys co-locate and the
-        # shuffle sorts bucket_width() keys, not the whole string vocab
-        state = _PROCESS_DOC_STATE.setdefault("bigram_hasher", TokenHasher())
-        dich = state.hash_token_array(
-            dic.combine_chunks() if isinstance(dic, pa.ChunkedArray) else dic
-        )
-        ub = np.concatenate((
-            dich % np.uint64(nb),
-            (dich[bkey // n_u] * np.uint64(0x9E3779B97F4A7C15)
-             ^ dich[bkey % n_u]) % np.uint64(nb),
-        )).astype(np.int64)
         return pa.table({
             "kind": pa.array(kind, pa.string()),
             "x": xs,
             "y": ys,
             "c": pa.array(np.concatenate((ucnt, bcnt)), pa.int64()),
-            "ub": pa.array(ub, pa.int64()),
         })
 
     def fold_bucket(g: pa.Table) -> pa.Table:
         # Arrow-native C++ group_by inside the bucket — no Python per key
-        out = g.select(["kind", "x", "y", "c"]).group_by(
+        out = g.group_by(
             ["kind", "x", "y"]
         ).aggregate([("c", "sum")])
         return out.rename_columns(["kind", "x", "y", "c"])
 
     # no docs.count() emptiness pre-check — that would cost a full extra
     # pass over the text; the "b" ∉ totals guard below covers empty input
-    counts = (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(fold_bucket, batch_format="pyarrow")
-        .materialize()
-    )
+    counts = bucket_fold(
+        docs.map_batches(partial, batch_format="pyarrow"), ["x", "y"], fold_bucket
+    ).materialize()
     totals = _collect(
         counts.groupby("kind").aggregate(Sum("c", alias_name="t")),
         pa.schema([("kind", pa.string()), ("t", pa.int64())]),

@@ -1,19 +1,19 @@
 """Distributed as-of and range joins over the events stream.
 
-Ray Data has no native as-of / range join, so both are expressed as the
-engine's bucketed-groupby idiom (the same shape as sessionization,
-``queries.events_user_sessions``): tag every row with ``hash(user) %
-bucket_width()``, group by the bucket, and resolve the temporal join
-vectorized inside each bucket — one lexsort plus ``np.searchsorted`` over a
-composite ``(user, ts)`` key, no per-user or per-row Python.
+Ray Data has no native as-of / range join, so both are expressed as a
+hash-bucket fold by ``user_id`` (``stages.buckets.bucket_fold``, the same
+shape as sessionization, ``queries.events_user_sessions``), resolving the
+temporal join vectorized inside each bucket — one lexsort plus
+``np.searchsorted`` over a composite ``(user, ts)`` key, no per-user or
+per-row Python.
 
 Partitioning assumption (documented per the custom-operator contract): a
 join key (``user_id``) never spans buckets, so any bucket width yields
-identical results; width only controls parallelism and is cluster-relative
-via ``config.bucket_width()``.  Skewed users concentrate in one bucket —
-acceptable because per-bucket work is O(rows log rows) vectorized, and a
-single user's history is exactly the unit that cannot be split by an
-order-dependent join.
+identical results; ``bucket_width=None`` takes the fold's cluster-relative
+width, and a width passed here only changes parallelism.  Skewed users
+concentrate in one bucket — acceptable because per-bucket work is
+O(rows log rows) vectorized, and a single user's history is exactly the
+unit that cannot be split by an order-dependent join.
 
 Scale shape: events ship only the four narrow columns the join needs
 (ids, ts, type, value — pruned at the read); output is streamed per bucket,
@@ -30,6 +30,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+
+from localhost_address_matching_ray.stages.buckets import bucket_fold
 
 
 def _composite_keys(uid: np.ndarray, ts_us: np.ndarray):
@@ -50,16 +52,6 @@ def _composite_keys(uid: np.ndarray, ts_us: np.ndarray):
     return keys, rel, shift
 
 
-def _bucket_tag(nb: int):
-    from localhost_address_matching_ray.functions.hashing import u64_bucket
-
-    def tag(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("ub", pa.array(u64_bucket(uid, nb)))
-
-    return tag
-
-
 def _empty_asof_table() -> pa.Table:
     return pa.table({
         "event_id": pa.array([], pa.int64()),
@@ -76,7 +68,7 @@ def asof_join_events(
     *,
     left_type: str = "purchase",
     right_type: str = "click",
-    bucket_width: int = 64,
+    bucket_width: int | None = None,
 ) -> ray.data.Dataset:
     """As-of join: each *left_type* event joined to the most recent
     *right_type* event of the same user with ``right.ts <= left.ts``
@@ -147,11 +139,7 @@ def asof_join_events(
             "lag_us": pa.array(lag, pa.int64()),
         })
 
-    return (
-        ev.map_batches(_bucket_tag(bucket_width), batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucket_fold(ev, "user_id", per_bucket, bucket_width)
 
 
 _TS_MISSING = np.iinfo(np.int64).max
@@ -161,7 +149,7 @@ def funnel_events(
     events: ray.data.Dataset,
     *,
     steps: tuple[str, str, str] = ("view", "click", "purchase"),
-    bucket_width: int = 64,
+    bucket_width: int | None = None,
 ) -> ray.data.Dataset:
     """First-touch conversion funnel: per user, the earliest timestamp of
     each step; a user converts step i→i+1 when ``min(ts of step i) <
@@ -222,10 +210,8 @@ def funnel_events(
            for k in ("n_users", "n_step1", "n_step2", "n_step3")},
     }))
     return (
-        events.map_batches(partial, batch_format="pyarrow")
-        .map_batches(_bucket_tag(bucket_width), batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        bucket_fold(events.map_batches(partial, batch_format="pyarrow"), "user_id",
+                    per_bucket, bucket_width)
         .union(seed)
         .groupby("one")
         .map_groups(total, batch_format="pyarrow")
@@ -246,7 +232,7 @@ def _empty_running_table() -> pa.Table:
 def running_stats_events(
     events: ray.data.Dataset,
     *,
-    bucket_width: int = 64,
+    bucket_width: int | None = None,
 ) -> ray.data.Dataset:
     """Per-user window functions over the event stream: row_number,
     running sum of ``value`` and lag-to-previous-event, all ordered by
@@ -288,11 +274,7 @@ def running_stats_events(
             "since_prev_us": pa.array(since, pa.int64()),
         })
 
-    return (
-        events.map_batches(_bucket_tag(bucket_width), batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucket_fold(events, "user_id", per_bucket, bucket_width)
 
 
 def _empty_moving_table() -> pa.Table:
@@ -309,7 +291,7 @@ def moving_avg_events(
     events: ray.data.Dataset,
     *,
     preceding: int = 3,
-    bucket_width: int = 64,
+    bucket_width: int | None = None,
 ) -> ray.data.Dataset:
     """Sliding window-FRAME aggregate: per-user moving average of ``value``
     over ``ROWS BETWEEN preceding PRECEDING AND CURRENT ROW``, ordered by
@@ -350,11 +332,7 @@ def moving_avg_events(
             "mavg_cents": pa.array(fsum.astype(np.float64) / fn, pa.float64()),
         })
 
-    return (
-        events.map_batches(_bucket_tag(bucket_width), batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucket_fold(events, "user_id", per_bucket, bucket_width)
 
 
 def _empty_range_table() -> pa.Table:
@@ -370,7 +348,7 @@ def range_join_events(
     events: ray.data.Dataset,
     *,
     window_us: int = 2 * 3600 * 1_000_000,
-    bucket_width: int = 64,
+    bucket_width: int | None = None,
 ) -> ray.data.Dataset:
     """Range self-join: all ordered pairs (a, b) of events of the SAME user
     with ``a.ts < b.ts <= a.ts + window``. Equal timestamps never pair
@@ -424,8 +402,4 @@ def range_join_events(
             "gap_us": pa.array(ts[b_idx] - ts[a_idx], pa.int64()),
         })
 
-    return (
-        events.map_batches(_bucket_tag(bucket_width), batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return bucket_fold(events, "user_id", per_bucket, bucket_width)

@@ -18,11 +18,11 @@ FOR REAL in pure numpy — header parse + buffer reshape, no codec library:
 Formats that need external codecs (MP3/H.264/progressive JPEG —
 libraries absent in this container) raise ``NotImplementedError`` and a deterministic
 sha256-derived fake stands in, keeping the Ray-side plumbing (schema,
-actor-pool signature, small batches for wide binary rows, output layout)
-real and tested either way. Mirrors the reference's NER stage shape —
-heavyweight per-worker init (``load_pipeline``,
-``ner_address_parser.py:44-49``), small batches for wide rows
-(``chunk 5000 / batch 32``, ``:161-162``).
+small batches for wide binary rows, output layout) real and tested either
+way. The stages run as stateless tasks: their classes hold only
+constructor flags, so an instance is passed to ``map_batches``. Mirrors
+the reference's NER stage shape of small batches for wide rows
+(``chunk 5000 / batch 32``, ``ner_address_parser.py:161-162``).
 """
 
 from __future__ import annotations
@@ -321,13 +321,13 @@ def real_decode(payload: bytes, kind: str) -> np.ndarray:
 
 
 class MediaFeatureExtractor:
-    """Actor-pool stage: decode → feature-extract per batch.
+    """Stateless-task stage: decode → feature-extract per batch.
 
-    ``decoder`` is injected (``fn_constructor_args``) exactly like the
-    reference's pluggable model dir — the real decoder slots in without
-    touching the pipeline. The deterministic fake derives a stable
-    16-dim feature vector from sha256(payload), so tests exercise schema,
-    batching and layout end-to-end.
+    The instance holds only its constructor flag, so the pipeline passes an
+    instance to ``map_batches`` and each batch runs as a plain task. The
+    deterministic fake derives a stable 16-dim feature vector from
+    sha256(payload), so tests exercise schema, batching and layout
+    end-to-end.
     """
 
     def __init__(self, use_real_decoder: bool = False) -> None:
@@ -366,19 +366,11 @@ class MediaFeatureExtractor:
         })
 
 
-def extract_media_features(
-    media: ray.data.Dataset, concurrency: int | None = None
-) -> ray.data.Dataset:
+def extract_media_features(media: ray.data.Dataset) -> ray.data.Dataset:
     """The multimodal feature pipeline: content column dropped immediately
     after feature extraction (wide rows must not ride further stages)."""
-    from localhost_address_matching_ray.config import default_pool_size
-
     return media.map_batches(
-        MediaFeatureExtractor,
-        batch_format="pyarrow",
-        batch_size=MULTIMODAL_BATCH_SIZE,
-        concurrency=default_pool_size(concurrency or 2),
-        num_cpus=1,
+        MediaFeatureExtractor(), batch_format="pyarrow", batch_size=MULTIMODAL_BATCH_SIZE,
     )
 
 
@@ -392,7 +384,7 @@ def resize_image(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 class MediaResizer:
-    """Actor-pool resize stage: netpbm images are decoded, nearest-neighbor
+    """Stateless-task resize stage: netpbm images are decoded, nearest-neighbor
     resized and re-encoded FOR REAL; other kinds/formats pass through
     unchanged (``strict=True`` raises instead — the honest boundary for
     codec formats this container cannot decode). Output keeps the
@@ -444,21 +436,12 @@ class MediaResizer:
         )
 
 
-def resize_media(
-    media: ray.data.Dataset, out_w: int, out_h: int,
-    concurrency: int | None = None,
-) -> ray.data.Dataset:
-    """Resize pipeline stage — same actor-pool / small-batch shape as
+def resize_media(media: ray.data.Dataset, out_w: int, out_h: int) -> ray.data.Dataset:
+    """Resize pipeline stage — same stateless-task / small-batch shape as
     :func:`extract_media_features` (wide binary rows)."""
-    from localhost_address_matching_ray.config import default_pool_size
-
     return media.map_batches(
-        MediaResizer,
-        fn_constructor_args=(out_w, out_h),
-        batch_format="pyarrow",
+        MediaResizer(out_w, out_h), batch_format="pyarrow",
         batch_size=MULTIMODAL_BATCH_SIZE,
-        concurrency=default_pool_size(concurrency or 2),
-        num_cpus=1,
     )
 
 
@@ -526,19 +509,11 @@ class FrameSampler:
         })
 
 
-def sample_frames(
-    media: ray.data.Dataset, n_frames: int = 4, concurrency: int | None = None,
-) -> ray.data.Dataset:
-    """Frame-sampling pipeline stage (video rows → frame rows)."""
-    from localhost_address_matching_ray.config import default_pool_size
-
+def sample_frames(media: ray.data.Dataset, n_frames: int = 4) -> ray.data.Dataset:
+    """Frame-sampling pipeline stage (video rows → frame rows), run as
+    stateless tasks like :func:`extract_media_features`."""
     return media.map_batches(
-        FrameSampler,
-        fn_constructor_args=(n_frames,),
-        batch_format="pyarrow",
-        batch_size=MULTIMODAL_BATCH_SIZE,
-        concurrency=default_pool_size(concurrency or 2),
-        num_cpus=1,
+        FrameSampler(n_frames), batch_format="pyarrow", batch_size=MULTIMODAL_BATCH_SIZE,
     )
 
 
@@ -547,7 +522,7 @@ def synthesize_media_table(docs: pa.Table) -> pa.Table:
     data), seeded by sha256(text) per row. Most rows carry REAL payloads
     in each modality's interchange format — P6 netpbm 16×12 images, PCM16
     WAV audio (512 samples @ 16 kHz), 5-frame 16×12 y4m video — so the
-    actors' real decode paths run on them; every 5th audio/video row
+    stages' real decode paths run on them; every 5th audio/video row
     carries opaque utf-8 bytes standing in for a codec format, keeping the
     fake/stub branch exercised too."""
     kinds = ["image", "audio", "video"]

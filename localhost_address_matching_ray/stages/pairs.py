@@ -3,14 +3,15 @@ CANDIDATES-THEN-VERIFY.
 
 Reference analog: the best-match ranking semantics (rank candidates, take
 best, ``static_parser.py:139-147``) generalized to all-pairs scoring within a
-block. This is the engine's ONE large-large "join", expressed as a bucketed
-``groupby(bucket).map_groups`` — never a cross join (SURVEY.md §2.4).
+block. This is the engine's ONE large-large "join", expressed as a hash-bucket
+fold over the block key (``stages.buckets.bucket_fold``) — never a cross join
+(SURVEY.md §2.4).
 
 Round-1 measured the 17-key-emission × ~160 B/row payload shuffle dominating
 the 1M-row soak, so round 2 splits the stage:
 
 1. **candidates** — the blocking shuffle carries only (block_key, rid u64,
-   sigp); inside each 64-way bucket, runs of equal key are found by numpy
+   sigp); inside each hash bucket, runs of equal key are found by numpy
    sort/diff (singletons vanish in one mask — no per-group Python). Small
    blocks emit all pairs; large blocks sort by ``sigp`` (8-byte signature
    prefix: exact dups become adjacent) and emit a ±``cap`` window of
@@ -33,8 +34,8 @@ the 1M-row soak, so round 2 splits the stage:
    ``config.stem_sim_threshold``).
 
 Emits edges ``(u, v, score)`` with ``u < v``; duplicates across bands/key
-families/buckets are collapsed by :func:`distinct_pairs`, the bucketed
-fold keyed on ``hash(u, v)`` that every pair operator shares.
+families/buckets are collapsed by :func:`distinct_pairs`, the hash-bucket
+fold keyed on ``(u, v)`` that every pair operator shares.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from localhost_address_matching_ray.stages.broadcast import (
     fetch_sorted,
     involved_ids,
 )
+from localhost_address_matching_ray.stages.buckets import bucket_fold
 
 logger = logging.getLogger(__name__)
 
@@ -174,7 +176,7 @@ def _candidate_pairs_factory(config: PipelineConfig):
     skip_dup_runs = config.verify_mode != "exact"
 
     def pairs_bucket(group: pa.Table) -> pa.Table:
-        """One 64-way bucket of block rows → candidate pairs.
+        """One hash bucket of block rows → candidate pairs.
 
         Two vectorized passes after one lexsort by (block_key, sigp, id):
 
@@ -290,38 +292,21 @@ def candidate_pairs(blocks: ray.data.Dataset, config: PipelineConfig) -> ray.dat
     collapsed on the smaller verified EDGE stream in :func:`verify_edges`
     (2.87 scored rows per distinct edge on the ``link_hot`` benchmark
     corpus, seed 1)."""
-    return blocks.groupby("bucket").map_groups(
-        _candidate_pairs_factory(config), batch_format="pyarrow"
-    )
-
-
-_PB_P1 = np.uint64(0x9E3779B97F4A7C15)
-_PB_P2 = np.uint64(0xC2B2AE3D27D4EB4F)
+    return bucket_fold(blocks, "block_key", _candidate_pairs_factory(config))
 
 
 def distinct_pairs(
-    ds: ray.data.Dataset, buckets: int, u: str = "u", v: str = "v",
+    ds: ray.data.Dataset, nb: int | None = None, u: str = "u", v: str = "v",
     keep_max: str | None = None,
 ) -> ray.data.Dataset:
     """One row per distinct ``(u, v)`` of a pair stream, other columns
-    carried along. Rows are tagged with ``hash(u, v) % buckets`` and folded
-    by a groupby of that low-cardinality tag, one lexsort per bucket —
-    never a ``groupby([u, v])`` (Ray's per-key groupby floor). Which copy
-    of a pair survives is arbitrary unless ``keep_max`` names a column,
-    whose largest value then wins. ``buckets`` is resolved on the driver,
-    so every task shares one modulus."""
-    nb = np.uint64(buckets)
-
-    def tag(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("pb", pa.array([], pa.int32()))
-        a = t[u].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t[v].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pb = ((a * _PB_P1 ^ b * _PB_P2) % nb).astype(np.int32)
-        return t.append_column("pb", pa.array(pb, pa.int32()))
+    carried along: a hash-bucket fold keyed on ``(u, v)``, one lexsort per
+    bucket — never a ``groupby([u, v])`` (Ray's per-key groupby floor).
+    Which copy of a pair survives is arbitrary unless ``keep_max`` names a
+    column, whose largest value then wins. ``nb`` is the fold's width
+    (``None``: the cluster-relative default)."""
 
     def fold(g: pa.Table) -> pa.Table:
-        g = g.select([c for c in g.column_names if c != "pb"])
         if g.num_rows == 0:
             return g
         a = g[u].to_numpy(zero_copy_only=False)
@@ -334,9 +319,7 @@ def distinct_pairs(
         first = np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
         return g.take(pa.array(order[first]))
 
-    return ds.map_batches(tag, batch_format="pyarrow").groupby("pb").map_groups(
-        fold, batch_format="pyarrow"
-    )
+    return bucket_fold(ds, [u, v], fold, nb)
 
 
 def _row_ids(t: pa.Table) -> np.ndarray:
@@ -545,13 +528,6 @@ def verify_edges(
     largest non-scaling term in the 4→16 CPU efficiency. Above the
     broadcast ceiling, pairs ARE deduped first (a join fetch pays per
     pair), then fetched via partitioned hash joins."""
-    if config.census_buckets <= 0:
-        # pre-ray.init() config sentinel (config.py) — resolve driver-side
-        from dataclasses import replace
-
-        from localhost_address_matching_ray.config import bucket_width
-
-        config = replace(config, census_buckets=bucket_width())
     pairs = pairs.materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:
@@ -576,14 +552,12 @@ def verify_edges(
         )
         if involved is None or len(involved) <= ceiling:
             scored = _verify_broadcast(pairs, features, involved, config)
-            return _hex_edges(
-                distinct_pairs(scored, config.census_buckets, "pu", "pv")
-            )
+            return _hex_edges(distinct_pairs(scored, u="pu", v="pv"))
     logger.info(
         "verify_edges: broadcast ceiling exceeded (rows or token volume) — "
         "join path",
     )
-    distinct = distinct_pairs(pairs, config.census_buckets, "pu", "pv")
+    distinct = distinct_pairs(pairs, u="pu", v="pv")
     return _hex_edges(_verify_join(distinct, features, config))
 
 

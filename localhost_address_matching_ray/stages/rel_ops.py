@@ -6,15 +6,15 @@
 has no anti/semi type, and a left-outer + null-filter would ship the full
 right payload; instead both sides are reduced to what the predicate
 needs — the right side to DISTINCT keys *per batch* (a combiner, so
-duplicate-heavy rights shrink before the shuffle) — tagged with
-``hash(key) % bucket_width`` and resolved per bucket with one
+duplicate-heavy rights shrink before the shuffle) — folded by key hash
+(``stages.buckets.bucket_fold``) and resolved per bucket with one
 ``np.isin``.
 
 Partitioning assumption: equal keys land in the same bucket (guaranteed by
 hashing the key itself); bucket width only controls parallelism and is
-cluster-relative via ``config.bucket_width()``.  The right side ships 8
-bytes per distinct key per batch; the left ships only the projected
-payload columns.
+the fold's cluster-relative width unless ``bucket_width`` is passed.  The
+right side ships 8 bytes per distinct key per batch; the left ships only
+the projected payload columns.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from localhost_address_matching_ray.functions.hashing import u64_bucket as _key_bucket
+from localhost_address_matching_ray.stages.buckets import bucket_fold
 
 
 def _membership_join(left, right, *, key, right_key, bucket_width, keep_present):
@@ -37,21 +37,13 @@ def _membership_join(left, right, *, key, right_key, bucket_width, keep_present)
     out_fields = list(left_schema.base_schema)
     out_names = [f.name for f in out_fields]
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        arr = t[key]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        # fill nulls BEFORE to_numpy: a null-bearing int64 column otherwise
-        # degrades to float64+NaN and loses exactness above 2^53. A NULL key
-        # never matches in SQL (the correlated '=' is never true), so the
-        # fill value only picks a bucket; probe=2 marks the row so per_bucket
-        # applies the null rule (anti keeps it, semi drops it) regardless of
-        # what shares that bucket.
-        null_mask = pc.is_null(arr).to_numpy(zero_copy_only=False)
-        keys = arr.fill_null(0).to_numpy(zero_copy_only=False)
-        probe = np.zeros(len(keys), np.int8)
-        probe[null_mask] = 2
-        t = t.append_column("kb", pa.array(_key_bucket(keys, bucket_width)))
+    def mark_left(t: pa.Table) -> pa.Table:
+        # A NULL key never matches in SQL (the correlated '=' is never
+        # true); the fold buckets it as 0, and probe=2 marks the row so
+        # per_bucket applies the null rule (anti keeps it, semi drops it)
+        # regardless of what shares that bucket.
+        probe = np.zeros(t.num_rows, np.int8)
+        probe[pc.is_null(t[key]).to_numpy(zero_copy_only=False)] = 2
         return t.append_column("probe", pa.array(probe))
 
     def right_keys(t: pa.Table) -> pa.Table:
@@ -65,15 +57,17 @@ def _membership_join(left, right, *, key, right_key, bucket_width, keep_present)
                 cols[f.name] = pa.array(keys, f.type)
             else:  # placeholder — never emitted; nulls keep the type honest
                 cols[f.name] = pa.nulls(len(keys), f.type)
-        out = pa.table(cols)
-        out = out.append_column("kb", pa.array(_key_bucket(keys, bucket_width)))
-        return out.append_column("probe", pa.array(np.ones(len(keys), np.int8)))
+        return pa.table(cols).append_column(
+            "probe", pa.array(np.ones(len(keys), np.int8))
+        )
 
     def per_bucket(g: pa.Table) -> pa.Table:
         probe = g["probe"].to_numpy(zero_copy_only=False)
         arr = g[key]
         if isinstance(arr, pa.ChunkedArray):
             arr = arr.combine_chunks()
+        # fill nulls BEFORE to_numpy: a null-bearing int64 column otherwise
+        # degrades to float64+NaN and loses exactness above 2^53
         keys = arr.fill_null(0).to_numpy(zero_copy_only=False)
         present = np.isin(keys, keys[probe == 1])
         keep = (probe == 0) & (present if keep_present else ~present)
@@ -81,10 +75,11 @@ def _membership_join(left, right, *, key, right_key, bucket_width, keep_present)
             keep |= probe == 2  # NULL left key: NOT EXISTS is vacuously true
         return g.filter(pa.array(keep)).select(out_names)
 
-    tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(right_keys, batch_format="pyarrow")
+    return bucket_fold(
+        [left.map_batches(mark_left, batch_format="pyarrow"),
+         right.map_batches(right_keys, batch_format="pyarrow")],
+        key, per_bucket, bucket_width,
     )
-    return tagged.groupby("kb").map_groups(per_bucket, batch_format="pyarrow")
 
 
 def _bloom_of_right(right: ray.data.Dataset, right_key: str, m_bits: int):
@@ -124,7 +119,7 @@ def anti_join_keys(
     *,
     key: str,
     right_key: str,
-    bucket_width: int = 64,
+    bucket_width: int | None = None,
     bloom_bits: int | None = None,
 ) -> ray.data.Dataset:
     """Rows of *left* whose ``key`` does NOT occur as *right*'s
@@ -172,7 +167,7 @@ def semi_join_keys(
     *,
     key: str,
     right_key: str,
-    bucket_width: int = 64,
+    bucket_width: int | None = None,
     bloom_bits: int | None = None,
 ) -> ray.data.Dataset:
     """Rows of *left* whose ``key`` DOES occur in the right key stream

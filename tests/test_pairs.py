@@ -54,7 +54,6 @@ def _blocks(pairs_of_ids, equal_sigp: bool = False):
     sf = np.array(sps, dtype=np.uint64) * np.uint64(0xFF51AFD7ED558CCD)
     return ray.data.from_arrow(pa.table({
         "block_key": pa.array(kh, pa.uint64()),
-        "bucket": pa.array((kh % np.uint64(64)).astype(np.int32), pa.int32()),
         "rid": pa.array([int(m, 16) for m in ids], pa.uint64()),
         "sigp": pa.array(sp, pa.uint64()),
         "sigp2": pa.array(sp2, pa.uint64()),
@@ -158,7 +157,6 @@ def test_screen_recovers_far_similar_pair():
     sf = rng.randint(1, 1 << 62, n).astype(np.uint64)  # all full-sigs distinct
     blocks = ray.data.from_arrow(pa.table({
         "block_key": pa.array(kh, pa.uint64()),
-        "bucket": pa.array((kh % np.uint64(64)).astype(np.int32), pa.int32()),
         "rid": pa.array([int(m, 16) for m in ids], pa.uint64()),
         "sigp": pa.array(sp, pa.uint64()),
         "sigp2": pa.array(sp2, pa.uint64()),
@@ -188,7 +186,7 @@ def test_cross_bucket_pair_dedup():
     is collapsed to ONE edge in candidate_edges: after scoring on the
     broadcast path, before the joins on the join path."""
     m = [_rid(0), _rid(1)]
-    blocks = _blocks([(100, m), (101, m)])  # 100%64=36, 101%64=37: two buckets
+    blocks = _blocks([(100, m), (101, m)])  # two buckets at width 64
     base = bytes([9] * 128)
     feats = _features([(_rid(0), base, "s"), (_rid(1), base, "s")])
     for cfg in (PipelineConfig(), PipelineConfig(verify_broadcast_max_rows=0)):

@@ -25,28 +25,27 @@ def test_bucket_width_scales_with_cpus(monkeypatch):
     assert bucket_width() == 64          # pre-init: the floor
 
 
-def test_census_buckets_resolved_at_construction():
-    cfg = PipelineConfig()
-    assert cfg.census_buckets == bucket_width()  # auto default
-    assert PipelineConfig(census_buckets=128).census_buckets == 128  # explicit
-
-
-def test_census_buckets_pre_init_sentinel_resolves_lazily(monkeypatch):
-    """A config built BEFORE ray.init() must not pin the floor (64) forever:
-    the 0 sentinel survives construction and the stage entry points resolve
-    it against the live cluster (the 256-CPU-cluster-capped-at-64 trap)."""
+def test_fold_width_resolves_when_the_fold_is_built(monkeypatch):
+    """A config built BEFORE ray.init() pins no width: a fold built once a
+    256-CPU session is up uses its 1,024 buckets, not the floor of 64 (the
+    256-CPU-cluster-capped-at-64 trap). The width is captured when the fold
+    is built, so the fold still runs with it after the session shrinks."""
+    import pandas as pd
     import ray
+    import ray.data
 
+    from localhost_address_matching_ray.stages.buckets import bucket_fold
+
+    src = ray.data.from_arrow(pa.table({"k": np.arange(4000, dtype=np.int64)}))
     monkeypatch.setattr(ray, "is_initialized", lambda: False)
-    cfg = PipelineConfig()
-    assert cfg.census_buckets == 0  # sentinel survives pre-init
-    # cluster comes up bigger than the floor — lazy resolution must see it
+    PipelineConfig()  # the caller's config, built before the session
     monkeypatch.setattr(ray, "is_initialized", lambda: True)
     monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 256})
-    from dataclasses import replace
-
-    resolved = replace(cfg, census_buckets=bucket_width())
-    assert resolved.census_buckets == 1024
+    groups = bucket_fold(src, "k", lambda g: pa.table({"n": [g.num_rows]}))
+    monkeypatch.undo()  # run on the real (4-CPU) session
+    sizes = pd.DataFrame(groups.take_all())["n"]
+    assert sizes.sum() == 4000
+    assert 64 < len(sizes) <= 1024  # one call per non-empty bucket
 
 
 def test_hex16_col_rejects_mixed_widths():

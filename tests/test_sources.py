@@ -142,3 +142,21 @@ def test_gzip_compressed_csv_and_jsonl_sources(tmp_path):
     assert out[1]["content"] == ""  # null→'' coercion survives the codec
     out_csv = sorted(read_corpus_csv(csv_gz).take_all(), key=lambda r: r["repo"])
     assert [r["lang"] for r in out_csv] == ["python", "go"]
+
+
+def test_read_table_blocks_carry_no_schema_metadata():
+    """Every sf table is written with ``pandas`` schema metadata, which
+    pyarrow 16.1 cannot hash; ``read_table`` drops it inside the read task,
+    so neither the dataset schema nor any block carries it."""
+    from localhost_address_matching_ray.sources.tables import read_table
+
+    sf_dir = "/root/testdata/sf0.001"
+    names = sorted(f[: -len(".parquet")] for f in os.listdir(sf_dir) if f.endswith(".parquet"))
+    assert names
+    reads = [(n, None) for n in names] + [("documents", ["text", "doc_id"])]
+    for name, columns in reads:
+        ds = read_table(sf_dir, name, columns=columns)
+        assert not ds.schema().base_schema.metadata, name
+        for block in ray.get(ds.to_arrow_refs()):
+            assert not block.schema.metadata, name
+            hash(block.schema)  # raises TypeError with metadata
