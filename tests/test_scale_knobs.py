@@ -25,11 +25,45 @@ def test_bucket_width_scales_with_cpus(monkeypatch):
     assert bucket_width() == 64          # pre-init: the floor
 
 
-def test_fold_width_resolves_when_the_fold_is_built(monkeypatch):
-    """A config built BEFORE ray.init() pins no width: a fold built once a
-    256-CPU session is up uses its 1,024 buckets, not the floor of 64 (the
-    256-CPU-cluster-capped-at-64 trap). The width is captured when the fold
-    is built, so the fold still runs with it after the session shrinks."""
+def test_census_buckets_resolved_at_construction(monkeypatch):
+    """The block-size census resolves its bucket count when it is built, on
+    the driver, from the session then up (1,024 on a 256-CPU cluster), and
+    its counts stay exact when the plan later runs on a smaller session."""
+    from collections import Counter
+
+    import ray
+    import ray.data
+
+    from localhost_address_matching_ray.stages import buckets
+    from localhost_address_matching_ray.stages.blocking import block_size_census
+
+    hashes = [[7777, 1000 + i % 50] for i in range(200)]
+    feats = ray.data.from_arrow(pa.table({
+        "row_id": pa.array([format(i + 1, "016x") for i in range(200)], pa.string()),
+        "block_hashes": pa.array(hashes, pa.list_(pa.uint64())),
+    }))
+    widths = []
+
+    def spy(*a, **kw):
+        widths.append(bucket_width(*a, **kw))
+        return widths[-1]
+
+    monkeypatch.setattr(buckets, "bucket_width", spy)
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 256})
+    census = block_size_census(feats, PipelineConfig(), sample_div=1)
+    assert widths == [1024]  # resolved once, at construction
+    monkeypatch.undo()  # run on the real (4-CPU) session
+    sizes = {r["kh"]: r["n"] for r in census.take_all()}
+    assert sizes == dict(Counter(k for row in hashes for k in row))
+
+
+def test_census_buckets_pre_init_sentinel_resolves_lazily(monkeypatch):
+    """A config built BEFORE ray.init() pins no width: a fold (the census's,
+    or any other) built once a 256-CPU session is up uses its 1,024
+    buckets, not the floor of 64 (the 256-CPU-cluster-capped-at-64 trap).
+    The width is captured when the fold is built, so the fold still runs
+    with it after the session shrinks."""
     import pandas as pd
     import ray
     import ray.data
