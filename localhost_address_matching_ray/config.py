@@ -161,9 +161,12 @@ class PipelineConfig:
 
     # --- execution ---
     batch_size: int = 4096
-    feature_concurrency: int = 4      # feature parallelism floor:
-                                      # link_corpus runs features over at
-                                      # least 4 × this many blocks
+    feature_concurrency: int = 4      # feature parallelism floor: a
+                                      # source of fewer than 4 × this many
+                                      # blocks is split to at least that
+                                      # many, unless link_corpus re-plans
+                                      # it as one task per Parquet row
+                                      # group
     checkpoint_dir: str | None = None # None = no checkpointing
     pipeline_version: str = "v1"      # invalidates stale checkpoints (map.py:175 lesson)
 

@@ -1,10 +1,11 @@
 """The flagship record-linkage pipeline (SURVEY.md §7.0):
 
-read corpus → split a coarse source once (``_split_source``) → normalize +
+read corpus → re-plan a coarse Parquet read as one task per row group, or
+split any other coarse source once (``_split_source``) → normalize +
 features as ONE stateless map, one task per block, no barrier between them
-(``normalize_and_extract_features``) → block (salted keys) → key-only
-candidate shuffle → verify → connected components → clusters(row_id,
-cluster_id).
+(``normalize_and_extract_features``; over row groups it runs inside the
+read task) → block (salted keys) → key-only candidate shuffle → verify →
+connected components → clusters(row_id, cluster_id).
 
 ``collapse_exact_first`` inserts an exact-group shuffle on
 ``content_sha256_norm`` between normalize and features (features then run
@@ -23,6 +24,7 @@ from __future__ import annotations
 import ray.data
 
 from localhost_address_matching_ray.config import PipelineConfig
+from localhost_address_matching_ray.sources.readers import parquet_row_groups, read_row_groups
 from localhost_address_matching_ray.stages.blocking import (
     block_size_census,
     census_hot_and_multi,
@@ -70,20 +72,28 @@ def _split_source(
     corpus: ray.data.Dataset, batch_size: int, cpus: int, floor: int
 ) -> tuple[ray.data.Dataset, bool]:
     """The source the fused front end maps over, and whether each of its
-    blocks is to be one task (``normalize_and_extract_features``'s
+    blocks is to be one batch (``normalize_and_extract_features``'s
     ``per_block``).
 
     A source of ``floor`` blocks or more is returned as it is, re-bundled
-    into ``batch_size``-row batches. A coarser one (one Parquet file is one
-    read task) is split here, BEFORE normalize, into the smallest multiple
-    of ``cpus`` blocks that is at least ``floor`` and keeps every block at
-    or under ``batch_size`` rows, so each block is one task and every wave
-    fills every CPU. The row count comes from the source's metadata (the
-    Parquet footers, or a materialized dataset's block metadata) and never
-    runs the source; when it is unknown, the split is ``floor`` blocks and
-    the map re-bundles them."""
+    into ``batch_size``-row batches. A coarser plain Parquet read with at
+    least ``cpus`` row groups is re-planned as one read task per row group
+    (``sources/readers.read_row_groups``), each yielding blocks of at most
+    ``batch_size`` rows: the map then fuses into the read task, so no task
+    waits on a serial read and the wide ``content`` column never enters the
+    object store. Any other coarse source (one block per file, or fewer row
+    groups than CPUs) is split here, BEFORE normalize, into the smallest
+    multiple of ``cpus`` blocks that is at least ``floor`` and keeps every
+    block at or under ``batch_size`` rows, so each block is one task and
+    every wave fills every CPU. The row count comes from the source's
+    metadata (the Parquet footers, or a materialized dataset's block
+    metadata) and never runs the source; when it is unknown, the split is
+    ``floor`` blocks and the map re-bundles them."""
     if (_source_blocks(corpus) or floor) >= floor:
         return corpus, False
+    planned = parquet_row_groups(corpus)
+    if planned is not None and len(planned[0]) >= cpus:
+        return read_row_groups(*planned, batch_size), True
     rows = corpus._meta_count()
     if rows is None:
         return corpus.repartition(floor), False
@@ -123,12 +133,10 @@ def link_corpus(
         fver += f"+vf-{config.verify_mode}"
 
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    # parallelism floor: ≥2 blocks per CPU AND ≥4 blocks per unit of
-    # feature_concurrency. The second term kills the last-wave straggler
-    # tail: with blocks ≈ workers × 2.3 (e.g. 32 blocks on 14 feature
-    # actors) the final wave leaves most workers idle — measured 24% of the
-    # feature stage's wall at 16 CPUs on the 1M bench. Four even waves
-    # bound that tail at ~6%.
+    # parallelism floor of the feature map: ≥2 blocks per CPU AND ≥4 per
+    # unit of feature_concurrency. A source coarser than this is re-planned
+    # by row group or split (_split_source), so no wave leaves a CPU idle
+    # while one task reads or featurizes the whole source.
     nblocks = max(8, cpus * 2, 4 * config.feature_concurrency)
 
     normalized = load_or_compute(
@@ -154,14 +162,11 @@ def link_corpus(
         # join; the wide column never rides any shuffle
         if ckpt is None:
             # FUSED fast path: normalize flows lazily into the feature
-            # stage, so the wide content column never materializes as a
-            # full object-store copy — only the narrow feature table does,
-            # and it keeps row_id / content_sha256* / stem / n_tokens, which
+            # map, so the wide content column never materializes as a full
+            # object-store copy — only the narrow feature table does, and
+            # it keeps row_id / content_sha256* / stem / n_tokens, which
             # serves every downstream consumer (assign, exact_dedup,
-            # explain). Parallelism floor at 2×CPUs blocks: block count ≈
-            # worker count leaves a straggler tail (measured 2× on the
-            # feature stage with 32 blocks on 30 workers). With stateless
-            # feature tasks, coarse sources are split before normalize
+            # explain). The source is re-planned or split first
             # (_split_source; the checkpointed path persists per stage and
             # needs none of this).
             reps, exact_edges, rows_view = normalized, None, None
@@ -169,9 +174,9 @@ def link_corpus(
             reps, exact_edges, rows_view = normalized, None, normalized
 
     if ckpt is None and not config.collapse_exact_first:
-        # normalize and features as one map over the split source: no
-        # barrier between them, one task per block (``reps`` stays the
-        # lazy, never-run normalize of the source)
+        # normalize and features as one map over the re-planned or split
+        # source: no barrier between them, one task per block or row group
+        # (``reps`` stays the lazy, never-run normalize of the source)
         source, per_block = _split_source(corpus, config.batch_size, cpus, nblocks)
         features = normalize_and_extract_features(source, config, per_block)
     else:

@@ -471,10 +471,12 @@ def normalize_and_extract_features(
     a normalize barrier, and the batch-wide content scans run once for both
     stages. Same rows, columns and values as the two-stage form.
 
-    ``per_block=True`` makes each input block exactly one batch and one
-    task, for a source the caller has already split into blocks of at most
-    ``config.batch_size`` rows (``pipelines/linkage.py``); otherwise blocks
-    are re-bundled into ``config.batch_size``-row batches."""
+    ``per_block=True`` makes each input block exactly one batch, for a
+    source whose blocks hold at most ``config.batch_size`` rows
+    (``pipelines/linkage.py``): a split source then runs one task per block,
+    and a row-group read one task per row group, the map fused into the
+    read. Otherwise blocks are re-bundled into ``config.batch_size``-row
+    batches."""
     config = config or PipelineConfig()
     return corpus.map_batches(
         _front_end_batch_factory(config),
